@@ -848,7 +848,7 @@ struct Testbed::Impl {
         void down_data(ConstBytes data)
         {
             if (up_ready) {
-                if (!up->close_queued()) up->send(data);
+                if (!up->close_queued()) up->forward_traced(data, *down);
             } else {
                 append(up_backlog, data);
             }
@@ -1014,7 +1014,8 @@ struct Testbed::Impl {
                         relay->up = connect_upstream(
                             [relay] { relay->up_connected(); },
                             [relay](ConstBytes b) {
-                                if (!relay->down->close_queued()) relay->down->send(b);
+                                if (!relay->down->close_queued())
+                                    relay->down->forward_traced(b, *relay->up);
                             },
                             [relay, retire] {
                                 relay->side_closed(/*from_down=*/false);

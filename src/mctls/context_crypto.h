@@ -66,6 +66,8 @@ struct StageNanos {
     uint64_t mac_ns = 0;
     uint64_t cipher_ns = 0;
     uint64_t macs = 0;
+
+    uint64_t total_ns() const { return mac_ns + cipher_ns; }
 };
 
 // Endpoint-side seal: all three MACs fresh.

@@ -133,6 +133,18 @@ ContextKeys combine_context_keys(const PartialContextKeys& client_half,
                                seed);
 }
 
+void install_direction_keys(std::map<uint8_t, ContextKeys>& current,
+                            const std::map<uint8_t, ContextKeys>& pending, Direction dir)
+{
+    size_t d = static_cast<size_t>(dir);
+    for (const auto& [id, next] : pending) {
+        ContextKeys& keys = current[id];
+        keys.reader_enc[d] = next.reader_enc[d];
+        keys.reader_mac[d] = next.reader_mac[d];
+        keys.writer_mac[d] = next.writer_mac[d];
+    }
+}
+
 ContextKeys derive_context_keys_ckd(ConstBytes s_cs, ConstBytes rand_c, ConstBytes rand_s,
                                     uint8_t context_id)
 {

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 
 #include "mctls/authenc.h"
 #include "util/bytes.h"
@@ -83,6 +84,11 @@ PartialContextKeys derive_partial_keys(ConstBytes endpoint_secret, ConstBytes ra
 ContextKeys combine_context_keys(const PartialContextKeys& client_half,
                                  const PartialContextKeys& server_half, ConstBytes rand_c,
                                  ConstBytes rand_s);
+
+// In-band rekey switch-over: move direction `dir` of every context in
+// `pending` onto its new-epoch keys in `current`.
+void install_direction_keys(std::map<uint8_t, ContextKeys>& current,
+                            const std::map<uint8_t, ContextKeys>& pending, Direction dir);
 
 // Client-key-distribution mode (§3.6): complete context keys straight from
 // the endpoint master secret — both endpoints can compute them; middleboxes

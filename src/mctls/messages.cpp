@@ -104,6 +104,11 @@ Result<MiddleboxKeyMaterial> MiddleboxKeyMaterial::parse(ConstBytes body)
     return km;
 }
 
+Bytes key_material_ad(uint8_t sender, uint8_t entity)
+{
+    return Bytes{sender, entity};
+}
+
 Bytes serialize_middlebox_material(const std::vector<MiddleboxMaterialEntry>& entries)
 {
     Writer w;

@@ -54,6 +54,10 @@ struct MiddleboxKeyMaterial {
     static Result<MiddleboxKeyMaterial> parse(ConstBytes body);
 };
 
+// Associated data binding a sealed MiddleboxKeyMaterial to its sender and
+// recipient, so material cannot be redirected to another entity.
+Bytes key_material_ad(uint8_t sender, uint8_t entity);
+
 // --- Key-material payloads (the plaintext inside `sealed`) ---
 
 // To a middlebox, default mode: this endpoint's halves for each context the

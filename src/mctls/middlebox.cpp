@@ -7,34 +7,10 @@
 
 namespace mct::mctls {
 
-namespace {
-
-Bytes key_material_ad(uint8_t sender, uint8_t entity)
-{
-    return Bytes{sender, entity};
-}
-
-}  // namespace
-
-MiddleboxSession::MiddleboxSession(MiddleboxConfig cfg) : cfg_(std::move(cfg))
+MiddleboxSession::MiddleboxSession(MiddleboxConfig cfg)
+    : cfg_(std::move(cfg)), probe_(obs::make_probe(cfg_, cfg_.name.empty() ? "mbox" : cfg_.name))
 {
     if (!cfg_.rng) throw std::invalid_argument("MiddleboxSession: rng is required");
-    actor_name_ = cfg_.trace_actor.empty()
-                      ? (cfg_.name.empty() ? "mbox" : cfg_.name)
-                      : cfg_.trace_actor;
-    if (cfg_.tracer) trace_actor_ = cfg_.tracer->intern(actor_name_);
-    if (cfg_.spans) span_actor_ = cfg_.spans->intern(actor_name_);
-}
-
-// Align the just-pushed outgoing unit with its span context (pads any
-// preceding untraced units with invalid contexts).
-void MiddleboxSession::tag_last_unit(From from, obs::SpanContext ctx)
-{
-    auto& out = from == From::client ? to_server_ : to_client_;
-    auto& sp = from == From::client ? to_server_spans_ : to_client_spans_;
-    if (out.empty()) return;
-    sp.resize(out.size() - 1);
-    sp.push_back(ctx);
 }
 
 Status MiddleboxSession::fail(std::string message)
@@ -58,24 +34,20 @@ Status MiddleboxSession::fail_with(SessionError::Origin origin,
     error_ = std::move(message);
     if (!failure_.failed()) failure_ = {origin, description, error_};
     if (in_handshake)
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_failed, 0,
-                   static_cast<uint64_t>(description));
+        probe_.emit(obs::EventType::hs_failed, 0, static_cast<uint64_t>(description));
     // A middlebox failure affects both directions: alert both endpoints.
-    if (emit_alert) send_alert_both(tls::fatal_alert(description));
+    if (emit_alert) send_alert(tls::fatal_alert(description), true, true);
     return err(error_);
 }
 
-void MiddleboxSession::send_alert_both(const tls::Alert& alert)
+void MiddleboxSession::send_alert(const tls::Alert& alert, bool to_client, bool to_server)
 {
-    if (alert_sent_ && alert_sent_->is_fatal()) return;  // at most one fatal
-    alert_sent_ = alert;
-    ++alerts_sent_;
-    ++alerts_sent_by_type_[to_string(alert.description)];
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::alert_sent, kControlContext,
-               static_cast<uint64_t>(alert.description));
-    tls::Record rec{tls::ContentType::alert, kControlContext, alert.serialize()};
-    to_client_.push_back(client_side_.codec.encode(rec));
-    to_server_.push_back(server_side_.codec.encode(rec));
+    if (!alerts_.admit(alert, probe_)) return;
+    // Output framing is identical on both sides.
+    Bytes wire = client_side_.codec.encode(
+        {tls::ContentType::alert, kControlContext, alert.serialize()});
+    if (to_client) client_side_.io.push(wire);
+    if (to_server) server_side_.io.push(std::move(wire));
 }
 
 Status MiddleboxSession::handle_alert_record(From from, const tls::RecordView& view)
@@ -93,11 +65,7 @@ Status MiddleboxSession::handle_alert_record(From from, const tls::RecordView& v
     }
     auto alert = tls::Alert::parse(view.payload);
     if (!alert) return {};  // unparsable: forwarded anyway, endpoints decide
-    peer_alert_ = alert.value();
-    ++alerts_received_;
-    ++alerts_received_by_type_[to_string(alert.value().description)];
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::alert_received, kControlContext,
-               static_cast<uint64_t>(alert.value().description));
+    alerts_.received(alert.value(), probe_);
     if (alert.value().is_fatal()) {
         torn_down_ = true;
         if (!failure_.failed())
@@ -136,16 +104,8 @@ void MiddleboxSession::transport_closed(bool from_client_side)
         failure_ = {SessionError::Origin::truncated, AlertDescription::middlebox_failure,
                     "mctls mbox: transport closed without close_notify"};
     // Tell the surviving side the path through us is gone.
-    if (alert_sent_ && alert_sent_->is_fatal()) return;
-    tls::Alert alert = tls::fatal_alert(AlertDescription::middlebox_failure);
-    alert_sent_ = alert;
-    ++alerts_sent_;
-    ++alerts_sent_by_type_[to_string(alert.description)];
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::alert_sent, kControlContext,
-               static_cast<uint64_t>(alert.description));
-    tls::Record rec{tls::ContentType::alert, kControlContext, alert.serialize()};
-    auto& out = from_client_side ? to_server_ : to_client_;
-    out.push_back(client_side_.codec.encode(rec));
+    send_alert(tls::fatal_alert(AlertDescription::middlebox_failure), !from_client_side,
+               from_client_side);
 }
 
 Status MiddleboxSession::feed_from_client(ConstBytes wire)
@@ -173,22 +133,22 @@ Status MiddleboxSession::feed(From from, ConstBytes wire)
 
 void MiddleboxSession::forward_record(From from, const tls::Record& record, bool own_unit)
 {
-    auto& out = from == From::client ? to_server_ : to_client_;
     // Output codec framing is identical on both sides.
-    if (own_unit || out.empty()) {
-        out.push_back(client_side_.codec.encode(record));
+    tls::UnitQueue& out = toward(from);
+    if (own_unit) {
+        out.push(client_side_.codec.encode(record));
     } else {
-        client_side_.codec.encode_into(record, out.back());
+        client_side_.codec.encode_into(record, out.tail());
     }
 }
 
 void MiddleboxSession::forward_wire(From from, ConstBytes wire, bool own_unit)
 {
-    auto& out = from == From::client ? to_server_ : to_client_;
-    if (own_unit || out.empty()) {
-        out.push_back(to_bytes(wire));
+    tls::UnitQueue& out = toward(from);
+    if (own_unit) {
+        out.push(to_bytes(wire));
     } else {
-        append(out.back(), wire);
+        append(out.tail(), wire);
     }
 }
 
@@ -249,8 +209,8 @@ Status MiddleboxSession::handle_handshake(From from, const tls::HandshakeMessage
         if (entity_index_ == SIZE_MAX)
             return fail(AlertDescription::middlebox_failure,
                         "mctls mbox: not listed in the session's middlebox list");
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_client_hello,
-                   static_cast<uint16_t>(entity_index_), msg.body.size());
+        probe_.emit(obs::EventType::hs_client_hello, static_cast<uint16_t>(entity_index_),
+                    msg.body.size());
         // A resumption offer we have cached pairwise keys for: if the server
         // echoes the id we can rejoin without fresh DH exchanges.
         offered_session_id_ = hello.value().session_id;
@@ -282,8 +242,8 @@ Status MiddleboxSession::handle_handshake(From from, const tls::HandshakeMessage
             resumed_ = true;
             pairwise_client_ = resume_ticket_.pairwise_client;
             pairwise_server_ = resume_ticket_.pairwise_server;
-            obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::mbox_rejoin,
-                       static_cast<uint16_t>(entity_index_), middleboxes_.size());
+            probe_.emit(obs::EventType::mbox_rejoin, static_cast<uint16_t>(entity_index_),
+                        middleboxes_.size());
         } else if (!session_id_.empty() && session_id_ == offered_session_id_ &&
                    !resume_candidate_) {
             // The endpoints agreed to resume but our ticket is gone (evicted,
@@ -294,8 +254,8 @@ Status MiddleboxSession::handle_handshake(From from, const tls::HandshakeMessage
             // a session we were never entitled to break.
             rejoin_missed_ = true;
             keys_ready_ = true;  // established, with no contexts readable
-            obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_resume_reject,
-                       static_cast<uint16_t>(entity_index_), middleboxes_.size());
+            probe_.emit(obs::EventType::hs_resume_reject, static_cast<uint16_t>(entity_index_),
+                        middleboxes_.size());
         }
         forward_handshake(from, msg);
         return {};
@@ -392,18 +352,13 @@ void MiddleboxSession::inject_bundle()
     Bytes bundle = concat(hello.to_message().serialize(),
                           kx_client.to_message().serialize(),
                           kx_server.to_message().serialize());
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_mbox_hello,
-               static_cast<uint16_t>(entity_index_), bundle.size());
+    probe_.emit(obs::EventType::hs_mbox_hello, static_cast<uint16_t>(entity_index_), bundle.size());
     tls::Record rec{tls::ContentType::handshake, kControlContext, bundle};
     // Toward the client: part of the flight currently being relayed.
     Bytes wire = client_side_.codec.encode(rec);
-    if (to_client_.empty()) {
-        to_client_.push_back(wire);
-    } else {
-        append(to_client_.back(), wire);
-    }
+    append(client_side_.io.tail(), wire);
     // Toward the server: its own unit (nothing else flows that way now).
-    to_server_.push_back(wire);
+    server_side_.io.push(std::move(wire));
 }
 
 Status MiddleboxSession::extract_key_material(From from, const MiddleboxKeyMaterial& km)
@@ -480,44 +435,16 @@ void MiddleboxSession::try_finalize_keys()
             permissions_[e.context_id] = e.permission;
         }
         keys_ready_ = true;
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_key_distribution, 0,
-                   context_keys_.size(), 1);
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_complete, 0,
-                   context_keys_.size());
+        probe_.emit(obs::EventType::hs_key_distribution, 0, context_keys_.size(), 1);
+        probe_.emit(obs::EventType::hs_complete, 0, context_keys_.size());
         if (cfg_.session_cache) cfg_.session_cache->put(ticket());
         return;
     }
     if (!client_material_seen_ || !server_material_seen_) return;
-    // A context key exists only where BOTH endpoints supplied their half —
-    // this is how mutual consent (R4) is enforced.
-    for (const auto& ce : client_material_) {
-        for (const auto& se : server_material_) {
-            if (se.context_id != ce.context_id) continue;
-            if (ce.reader_half.empty() || se.reader_half.empty()) continue;
-            PartialContextKeys client_half{ce.reader_half, ce.writer_half};
-            PartialContextKeys server_half{se.reader_half, se.writer_half};
-            bool writer = !ce.writer_half.empty() && !se.writer_half.empty();
-            // combine_context_keys needs both halves for the writer secret;
-            // substitute zeros when read-only so derivation stays defined.
-            if (client_half.writer_half.empty()) client_half.writer_half = Bytes(32, 0);
-            if (server_half.writer_half.empty()) server_half.writer_half = Bytes(32, 0);
-            ContextKeys keys = combine_context_keys(client_half, server_half, client_random_,
-                                                    server_random_);
-            if (!writer) {
-                keys.writer_mac[0].clear();
-                keys.writer_mac[1].clear();
-            }
-            crypto::count_keygen(cfg_.ops, writer ? 2 : 1);  // k <= 2K of Table 3
-            context_keys_[ce.context_id] = std::move(keys);
-            permissions_[ce.context_id] =
-                writer ? Permission::write : Permission::read;
-        }
-    }
+    combine_halves(client_material_, server_material_, context_keys_, permissions_);
     keys_ready_ = true;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_key_distribution, 0,
-               context_keys_.size(), 0);
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_complete, 0,
-               context_keys_.size());
+    probe_.emit(obs::EventType::hs_key_distribution, 0, context_keys_.size(), 0);
+    probe_.emit(obs::EventType::hs_complete, 0, context_keys_.size());
     if (cfg_.session_cache) cfg_.session_cache->put(ticket());
 }
 
@@ -585,12 +512,11 @@ Status MiddleboxSession::handle_rekey_record(From from, const tls::RecordView& v
             pending_client_material_ = entries.take();
             pending_client_seen_ = true;
         }
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::rekey_init,
-                   static_cast<uint16_t>(entity_index_), rk.epoch,
-                   pending_revoked_ ? 1 : 0);
+        probe_.emit(obs::EventType::rekey_init, static_cast<uint16_t>(entity_index_),
+                    rk.epoch, pending_revoked_ ? 1 : 0);
         if (pending_revoked_)
-            obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::mbox_excised,
-                       static_cast<uint16_t>(entity_index_), rk.epoch);
+            probe_.emit(obs::EventType::mbox_excised, static_cast<uint16_t>(entity_index_),
+                        rk.epoch);
         return {};
     }
 
@@ -613,7 +539,9 @@ Status MiddleboxSession::handle_rekey_record(From from, const tls::RecordView& v
                 pending_server_material_ = entries.take();
                 pending_server_seen_ = true;
             }
-            if (pending_client_seen_ && pending_server_seen_) compute_pending_keys();
+            if (pending_client_seen_ && pending_server_seen_)
+                combine_halves(pending_client_material_, pending_server_material_,
+                               pending_keys_, pending_permissions_);
         }
         switch_direction_keys(Direction::server_to_client);
         return {};
@@ -628,42 +556,42 @@ Status MiddleboxSession::handle_rekey_record(From from, const tls::RecordView& v
     return {};  // stale/out-of-order phases: forwarded above, nothing to track
 }
 
-// Same contributory combine as try_finalize_keys, into the pending maps.
-void MiddleboxSession::compute_pending_keys()
+// A context key exists only where BOTH endpoints supplied their half — this
+// is how mutual consent (R4) is enforced — and write access only where both
+// supplied the writer half too.
+void MiddleboxSession::combine_halves(const std::vector<MiddleboxMaterialEntry>& client,
+                                      const std::vector<MiddleboxMaterialEntry>& server,
+                                      std::map<uint8_t, ContextKeys>& keys_out,
+                                      std::map<uint8_t, Permission>& permissions_out)
 {
-    for (const auto& ce : pending_client_material_) {
-        for (const auto& se : pending_server_material_) {
+    for (const auto& ce : client) {
+        for (const auto& se : server) {
             if (se.context_id != ce.context_id) continue;
             if (ce.reader_half.empty() || se.reader_half.empty()) continue;
             PartialContextKeys client_half{ce.reader_half, ce.writer_half};
             PartialContextKeys server_half{se.reader_half, se.writer_half};
             bool writer = !ce.writer_half.empty() && !se.writer_half.empty();
+            // combine_context_keys needs both halves for the writer secret;
+            // substitute zeros when read-only so derivation stays defined.
             if (client_half.writer_half.empty()) client_half.writer_half = Bytes(32, 0);
             if (server_half.writer_half.empty()) server_half.writer_half = Bytes(32, 0);
-            ContextKeys keys = combine_context_keys(client_half, server_half,
-                                                    client_random_, server_random_);
+            ContextKeys keys = combine_context_keys(client_half, server_half, client_random_,
+                                                    server_random_);
             if (!writer) {
                 keys.writer_mac[0].clear();
                 keys.writer_mac[1].clear();
             }
-            crypto::count_keygen(cfg_.ops, writer ? 2 : 1);
-            pending_keys_[ce.context_id] = std::move(keys);
-            pending_permissions_[ce.context_id] =
-                writer ? Permission::write : Permission::read;
+            crypto::count_keygen(cfg_.ops, writer ? 2 : 1);  // k <= 2K of Table 3
+            keys_out[ce.context_id] = std::move(keys);
+            permissions_out[ce.context_id] = writer ? Permission::write : Permission::read;
         }
     }
 }
 
 void MiddleboxSession::switch_direction_keys(Direction dir)
 {
-    size_t d = static_cast<size_t>(dir);
-    for (auto& [id, pending] : pending_keys_) {
-        ContextKeys& current = context_keys_[id];
-        current.reader_enc[d] = pending.reader_enc[d];
-        current.reader_mac[d] = pending.reader_mac[d];
-        current.writer_mac[d] = pending.writer_mac[d];
-    }
-    dir_switched_[d] = true;
+    install_direction_keys(context_keys_, pending_keys_, dir);
+    dir_switched_[static_cast<size_t>(dir)] = true;
 }
 
 void MiddleboxSession::finish_rekey_if_switched()
@@ -677,8 +605,7 @@ void MiddleboxSession::finish_rekey_if_switched()
     pending_client_material_.clear();
     pending_server_material_.clear();
     pending_client_seen_ = pending_server_seen_ = false;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::rekey_complete,
-               static_cast<uint16_t>(entity_index_), epoch_);
+    probe_.emit(obs::EventType::rekey_complete, static_cast<uint16_t>(entity_index_), epoch_);
 }
 
 Permission MiddleboxSession::permission(uint8_t context_id) const
@@ -689,173 +616,118 @@ Permission MiddleboxSession::permission(uint8_t context_id) const
 
 Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& view)
 {
+    Side& side = from == From::client ? client_side_ : server_side_;
     // Pop the incoming transport span context first (even on failure paths)
     // so the FIFO stays aligned with the app-record stream.
-    obs::SpanContext in_ctx;
-    if (obs::span_on(cfg_.spans)) {
-        auto& q = from == From::client ? rx_from_client_ : rx_from_server_;
-        if (!q.empty()) {
-            in_ctx = q.front();
-            q.pop_front();
-        }
-    }
+    obs::SpanContext in = side.io.pop_rx();
     if (!keys_ready_)
         return fail(AlertDescription::unexpected_message,
                     "mctls mbox: application data before key material");
-    Side& side = from == From::client ? client_side_ : server_side_;
     Direction dir =
         from == From::client ? Direction::client_to_server : Direction::server_to_client;
     uint64_t seq = side.app_seq++;
+    uint8_t ctx = view.context_id;
 
-    bool traced = obs::span_on(cfg_.spans) && in_ctx.valid();
+    bool traced = probe_.spans_on() && in.valid();
     StageNanos stage_ns;
     StageNanos* tp = traced ? &stage_ns : nullptr;
-    // Instant hop span on the sim clock (crypto costs ride in cpu_ns);
-    // returns the span id so the outgoing unit can chain the next hop.
-    auto emit_span = [&](obs::Stage st, uint64_t cpu, uint64_t a) -> uint64_t {
-        uint64_t now = cfg_.spans->now();
-        obs::SpanRecord r;
-        r.trace_id = in_ctx.trace_id;
-        r.span_id = cfg_.spans->next_span_id();
-        r.parent_id = in_ctx.span_id;
-        r.start_ts = now;
-        r.end_ts = now;
-        r.cpu_ns = cpu;
-        r.actor = span_actor_;
-        r.ctx = view.context_id;
-        r.a = a;
-        r.stage = st;
-        cfg_.spans->emit(r);
-        return r.span_id;
+    // Hop spans are instants on the sim clock (crypto costs ride in cpu_ns);
+    // the outgoing unit carries the last one so the next hop chains to it.
+    auto forward_original = [&] {
+        forward_wire(from, view.wire, /*own_unit=*/true);
+        if (traced)
+            toward(from).tag_last(
+                {in.trace_id, probe_.hop(in, obs::Stage::forward, ctx, 0, view.wire.size())});
     };
 
-    Permission perm = permission(view.context_id);
+    Permission perm = permission(ctx);
     // Mid-rekey, a direction that already switched runs under the pending
     // epoch's permissions: a revoked (or downgraded) middlebox must forward
     // blind rather than fail on keys it was not given.
     if (rekey_pending_ && dir_switched_[static_cast<size_t>(dir)]) {
-        auto it = pending_permissions_.find(view.context_id);
+        auto it = pending_permissions_.find(ctx);
         perm = it == pending_permissions_.end() ? Permission::none : it->second;
     }
-    auto keys = context_keys_.find(view.context_id);
+    auto keys = context_keys_.find(ctx);
+    CtxCounters& cc = ctx_counters_[ctx];
 
     if (perm == Permission::none || keys == context_keys_.end()) {
         ++records_forwarded_blind_;
-        CtxCounters& cc = ctx_counters_[view.context_id];
         cc.bytes_in += view.payload.size();  // opaque: only wire size visible
         ++cc.records_in;
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::mbox_forward_blind,
-                   view.context_id, view.payload.size());
-        forward_wire(from, view.wire, /*own_unit=*/true);
-        if (traced)
-            tag_last_unit(from, {in_ctx.trace_id,
-                                 emit_span(obs::Stage::forward, 0, view.wire.size())});
+        probe_.opened(obs::EventType::mbox_forward_blind, ctx, view.payload.size(), 0);
+        forward_original();
         return {};
     }
 
     if (perm == Permission::read) {
-        auto payload = open_record_reader(keys->second, dir, seq, view.context_id,
-                                          view.payload, open_scratch_, tp);
+        auto payload = open_record_reader(keys->second, dir, seq, ctx, view.payload,
+                                          open_scratch_, tp);
         if (!payload) {
-            ++mac_failures_;
-            obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::mac_verify_fail,
-                       view.context_id, view.payload.size());
+            probe_.mac_failure(ctx, view.payload.size());
             return fail(AlertDescription::bad_record_mac, payload.error().message);
         }
         ++records_read_;
-        ++macs_verified_;  // reader MAC
-        CtxCounters& cc = ctx_counters_[view.context_id];
         cc.bytes_in += payload.value().size();
         ++cc.records_in;
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::mbox_read, view.context_id,
-                   payload.value().size(), 1);
-        if (cfg_.observe) cfg_.observe(view.context_id, dir, payload.value());
-        forward_wire(from, view.wire, /*own_unit=*/true);  // original bytes
-        if (traced) {
-            emit_span(obs::Stage::decrypt_verify, stage_ns.mac_ns + stage_ns.cipher_ns,
-                      stage_ns.macs);
-            tag_last_unit(from, {in_ctx.trace_id,
-                                 emit_span(obs::Stage::forward, 0, view.wire.size())});
-        }
+        // Reader MAC verified.
+        probe_.opened(obs::EventType::mbox_read, ctx, payload.value().size(), 1);
+        if (cfg_.observe) cfg_.observe(ctx, dir, payload.value());
+        if (traced)
+            probe_.hop(in, obs::Stage::decrypt_verify, ctx, stage_ns.total_ns(), stage_ns.macs);
+        forward_original();
         return {};
     }
 
     // Writer.
-    auto opened = open_record_writer(keys->second, dir, seq, view.context_id, view.payload,
-                                     open_scratch_, tp);
+    auto opened = open_record_writer(keys->second, dir, seq, ctx, view.payload, open_scratch_, tp);
     if (!opened) {
-        ++mac_failures_;
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::mac_verify_fail,
-                   view.context_id, view.payload.size());
+        probe_.mac_failure(ctx, view.payload.size());
         return fail(AlertDescription::bad_record_mac, opened.error().message);
     }
-    ++macs_verified_;  // writer MAC
+    ++probe_.count.macs_verified;  // writer MAC
     // The transform needs an owned copy; the scratch keeps the original for
     // the modified-or-not comparison (no second copy).
     Bytes payload = to_bytes(opened.value().payload);
-    CtxCounters& cc = ctx_counters_[view.context_id];
     cc.bytes_in += payload.size();
     ++cc.records_in;
-    if (cfg_.observe) cfg_.observe(view.context_id, dir, payload);
-    if (cfg_.transform) payload = cfg_.transform(view.context_id, dir, std::move(payload));
-    bool modified = !equal(payload, opened.value().payload);
-    if (!modified) {
+    if (cfg_.observe) cfg_.observe(ctx, dir, payload);
+    if (cfg_.transform) payload = cfg_.transform(ctx, dir, std::move(payload));
+    if (traced) probe_.hop(in, obs::Stage::decrypt_verify, ctx, stage_ns.total_ns(), stage_ns.macs);
+    if (equal(payload, opened.value().payload)) {
         // Unmodified: forward the original record, MACs untouched.
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::mbox_write_pass,
-                   view.context_id, payload.size(), 1);
-        forward_wire(from, view.wire, /*own_unit=*/true);
-        if (traced) {
-            emit_span(obs::Stage::decrypt_verify, stage_ns.mac_ns + stage_ns.cipher_ns,
-                      stage_ns.macs);
-            tag_last_unit(from, {in_ctx.trace_id,
-                                 emit_span(obs::Stage::forward, 0, view.wire.size())});
-        }
+        probe_.emit(obs::EventType::mbox_write_pass, ctx, payload.size(), 1);
+        forward_original();
         return {};
     }
     ++records_rewritten_;
-    macs_generated_ += 2;  // regenerated writer + reader MACs
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::mbox_rewrite, view.context_id,
-               payload.size(), 2);
+    ++probe_.count.records_received;
+    probe_.count.macs_generated += 2;  // regenerated writer + reader MACs
+    probe_.emit(obs::EventType::mbox_rewrite, ctx, payload.size(), 2);
     // Reseal straight into the outgoing wire unit: header first, fragment
     // appended in place (endpoint MAC still borrowed from the scratch).
     size_t body = sealed_record_size(payload.size());
     Bytes wire;
     wire.reserve(client_side_.codec.header_size() + body);
-    client_side_.codec.encode_header_into(tls::ContentType::application_data, view.context_id,
-                                          body, wire);
+    client_side_.codec.encode_header_into(tls::ContentType::application_data, ctx, body, wire);
     StageNanos reseal_ns;
-    reseal_record_writer_into(keys->second, dir, seq, view.context_id, payload,
-                              opened.value().endpoint_mac, *cfg_.rng, wire,
-                              traced ? &reseal_ns : nullptr);
-    auto& out = from == From::client ? to_server_ : to_client_;
-    out.push_back(std::move(wire));
-    if (traced) {
-        emit_span(obs::Stage::decrypt_verify, stage_ns.mac_ns + stage_ns.cipher_ns,
-                  stage_ns.macs);
-        tag_last_unit(from, {in_ctx.trace_id,
-                             emit_span(obs::Stage::reseal,
-                                       reseal_ns.mac_ns + reseal_ns.cipher_ns,
-                                       payload.size())});
-    }
+    reseal_record_writer_into(keys->second, dir, seq, ctx, payload, opened.value().endpoint_mac,
+                              *cfg_.rng, wire, traced ? &reseal_ns : nullptr);
+    obs::SpanContext out_ctx;
+    if (traced)
+        out_ctx = {in.trace_id,
+                   probe_.hop(in, obs::Stage::reseal, ctx, reseal_ns.total_ns(), payload.size())};
+    toward(from).push(std::move(wire), out_ctx);
     return {};
 }
 
 obs::SessionStats MiddleboxSession::session_stats() const
 {
-    obs::SessionStats s;
-    s.actor = actor_name_;
+    // A middlebox seals nothing of its own; records_received counts the
+    // records it forwarded blind, read, or rewrote.
+    obs::SessionStats s = probe_.stats();
     s.established = keys_ready_;
     if (failure_.failed()) s.failure = failure_.message;
-    s.app_records_received =
-        records_forwarded_blind_ + records_read_ + records_rewritten_;
-    s.macs_generated = macs_generated_;
-    s.macs_verified = macs_verified_;
-    s.mac_failures = mac_failures_;
-    s.alerts_sent = alerts_sent_;
-    s.alerts_received = alerts_received_;
-    s.alerts_sent_by_type = alerts_sent_by_type_;
-    s.alerts_received_by_type = alerts_received_by_type_;
-    if (cfg_.tracer) s.trace_events_dropped = cfg_.tracer->events_dropped();
     for (const auto& ctx : contexts_) {
         obs::ContextStats cs;
         cs.name = ctx.purpose.empty() ? "ctx" + std::to_string(ctx.id) : ctx.purpose;

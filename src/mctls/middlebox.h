@@ -19,7 +19,6 @@
 //            modification), re-encrypt
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -33,8 +32,9 @@
 #include "mctls/messages.h"
 #include "mctls/resumption.h"
 #include "mctls/types.h"
-#include "obs/obs.h"
+#include "obs/probe.h"
 #include "pki/trust_store.h"
+#include "tls/endpoint_core.h"
 #include "tls/record.h"
 #include "util/rng.h"
 
@@ -79,43 +79,20 @@ public:
 
     Status feed_from_client(ConstBytes wire);
     Status feed_from_server(ConstBytes wire);
-    std::vector<Bytes> take_to_client()
-    {
-        if (obs::span_on(cfg_.spans)) {
-            to_client_spans_.resize(to_client_.size());
-            taken_to_client_spans_ = std::move(to_client_spans_);
-            to_client_spans_.clear();
-        }
-        return std::exchange(to_client_, {});
-    }
-    std::vector<Bytes> take_to_server()
-    {
-        if (obs::span_on(cfg_.spans)) {
-            to_server_spans_.resize(to_server_.size());
-            taken_to_server_spans_ = std::move(to_server_spans_);
-            to_server_spans_.clear();
-        }
-        return std::exchange(to_server_, {});
-    }
+    std::vector<Bytes> take_to_client() { return client_side_.io.take(); }
+    std::vector<Bytes> take_to_server() { return server_side_.io.take(); }
 
     // Span contexts aligned with the units returned by the most recent
     // take_to_client()/take_to_server() (invalid = untraced unit). Same
     // contract as mctls::Session::take_unit_spans().
-    std::vector<obs::SpanContext> take_to_client_spans()
-    {
-        return std::exchange(taken_to_client_spans_, {});
-    }
-    std::vector<obs::SpanContext> take_to_server_spans()
-    {
-        return std::exchange(taken_to_server_spans_, {});
-    }
+    std::vector<obs::SpanContext> take_to_client_spans() { return client_side_.io.take_spans(); }
+    std::vector<obs::SpanContext> take_to_server_spans() { return server_side_.io.take_spans(); }
 
     // FIFO of incoming transport span contexts per side; the driver pushes
     // one per traced unit delivered, before feeding the bytes.
     void queue_rx_span(bool from_client, obs::SpanContext ctx)
     {
-        if (!obs::span_on(cfg_.spans) || !ctx.valid()) return;
-        (from_client ? rx_from_client_ : rx_from_server_).push_back(ctx);
+        (from_client ? client_side_ : server_side_).io.queue_rx(ctx);
     }
 
     bool handshake_complete() const { return keys_ready_; }
@@ -139,9 +116,9 @@ public:
     bool torn_down() const { return torn_down_; }
     bool truncated() const { return truncated_; }
     const SessionError& failure() const { return failure_; }
-    const std::optional<tls::Alert>& alert_sent() const { return alert_sent_; }
+    const std::optional<tls::Alert>& alert_sent() const { return alerts_.sent(); }
     // Last alert observed from either endpoint (forwarded through us).
-    const std::optional<tls::Alert>& peer_alert() const { return peer_alert_; }
+    const std::optional<tls::Alert>& peer_alert() const { return alerts_.peer(); }
 
     // Effective permission (both halves received) for a context.
     Permission permission(uint8_t context_id) const;
@@ -177,9 +154,13 @@ public:
     obs::SessionStats session_stats() const;
 
 private:
+    // One TCP leg: bytes arriving from that side, and `io` — the units
+    // queued toward it plus the rx-span FIFO of units arriving from it.
     struct Side {
+        explicit Side(bool traced) : io(traced) {}
         tls::RecordCodec codec{/*with_context_id=*/true};
         tls::HandshakeReader handshake;
+        tls::UnitQueue io;
         bool ccs_seen = false;
         uint64_t app_seq = 0;  // records flowing *from* this side
     };
@@ -190,12 +171,17 @@ private:
     Status fail(AlertDescription description, std::string message);
     Status fail_with(SessionError::Origin origin, AlertDescription description,
                      std::string message, bool emit_alert);
-    void send_alert_both(const tls::Alert& alert);
+    // Originate `alert` toward the chosen sides (at most one fatal).
+    void send_alert(const tls::Alert& alert, bool to_client, bool to_server);
     Status handle_alert_record(From from, const tls::RecordView& view);
     Status feed(From from, ConstBytes wire);
     Status handle_record(From from, const tls::RecordView& view);
     Status handle_handshake(From from, const tls::HandshakeMessage& msg);
     Status handle_app_record(From from, const tls::RecordView& view);
+    tls::UnitQueue& toward(From from)
+    {
+        return from == From::client ? server_side_.io : client_side_.io;
+    }
     void forward_handshake(From from, const tls::HandshakeMessage& msg);
     void forward_record(From from, const tls::Record& record, bool own_unit);
     // Fast-path forward: splice the original wire bytes onward without
@@ -205,27 +191,28 @@ private:
     Status extract_key_material(From from, const MiddleboxKeyMaterial& km);
     void try_finalize_keys();
     Status handle_rekey_record(From from, const tls::RecordView& view);
-    void compute_pending_keys();
+    void combine_halves(const std::vector<MiddleboxMaterialEntry>& client,
+                        const std::vector<MiddleboxMaterialEntry>& server,
+                        std::map<uint8_t, ContextKeys>& keys_out,
+                        std::map<uint8_t, Permission>& permissions_out);
     void switch_direction_keys(Direction dir);
     void finish_rekey_if_switched();
 
     MiddleboxConfig cfg_;
+    obs::SessionProbe probe_;
     bool failed_ = false;
     std::string error_;
     SessionError failure_;
-    std::optional<tls::Alert> alert_sent_;
-    std::optional<tls::Alert> peer_alert_;
+    tls::AlertLedger alerts_;
     bool torn_down_ = false;
     bool truncated_ = false;
     bool close_from_client_ = false;
     bool close_from_server_ = false;
     uint64_t handshake_deadline_ = 0;  // 0 = not armed
 
-    Side client_side_;  // connection toward the client
-    Side server_side_;
+    Side client_side_{probe_.spans_on()};  // connection toward the client
+    Side server_side_{probe_.spans_on()};
     RecordScratch open_scratch_;  // reusable decrypt buffer for app records
-    std::vector<Bytes> to_client_;
-    std::vector<Bytes> to_server_;
 
     // Learned during the handshake.
     std::vector<MiddleboxInfo> middleboxes_;
@@ -279,28 +266,12 @@ private:
     uint64_t records_read_ = 0;
     uint64_t records_rewritten_ = 0;
 
-    // Telemetry (see session_stats()).
+    // Per-context accounting (see session_stats()).
     struct CtxCounters {
         uint64_t bytes_in = 0;   // payload bytes seen (plaintext when readable)
         uint64_t records_in = 0;
     };
-    uint16_t trace_actor_ = 0;
-    std::string actor_name_;
-    // Latency attribution (cfg_.spans): see mctls::Session for the
-    // alignment argument — pushes and pops ride the same in-order stream.
-    uint16_t span_actor_ = 0;
-    std::vector<obs::SpanContext> to_client_spans_, to_server_spans_;
-    std::vector<obs::SpanContext> taken_to_client_spans_, taken_to_server_spans_;
-    std::deque<obs::SpanContext> rx_from_client_, rx_from_server_;
-    void tag_last_unit(From from, obs::SpanContext ctx);
     std::map<uint8_t, CtxCounters> ctx_counters_;
-    uint64_t macs_generated_ = 0;
-    uint64_t macs_verified_ = 0;
-    uint64_t mac_failures_ = 0;
-    uint64_t alerts_sent_ = 0;
-    uint64_t alerts_received_ = 0;
-    std::map<std::string, uint64_t> alerts_sent_by_type_;
-    std::map<std::string, uint64_t> alerts_received_by_type_;
 };
 
 }  // namespace mct::mctls

@@ -18,11 +18,6 @@ namespace {
 
 constexpr size_t kAppChunkLimit = 15000;  // leave room for MACs + padding
 
-Bytes key_material_ad(uint8_t sender, uint8_t entity)
-{
-    return Bytes{sender, entity};
-}
-
 Permission min_permission(Permission a, Permission b)
 {
     return static_cast<Permission>(
@@ -31,15 +26,13 @@ Permission min_permission(Permission a, Permission b)
 
 }  // namespace
 
-Session::Session(SessionConfig cfg) : cfg_(std::move(cfg))
+Session::Session(SessionConfig cfg)
+    : Endpoint("mctls", /*with_context_id=*/true, cfg,
+               cfg.role == tls::Role::client ? "mctls-client" : "mctls-server"),
+      cfg_(std::move(cfg))
 {
     if (!cfg_.rng) throw std::invalid_argument("mctls::Session: rng is required");
     is_client_ = cfg_.role == tls::Role::client;
-    actor_name_ = cfg_.trace_actor.empty()
-                      ? (is_client_ ? "mctls-client" : "mctls-server")
-                      : cfg_.trace_actor;
-    if (cfg_.tracer) trace_actor_ = cfg_.tracer->intern(actor_name_);
-    if (cfg_.spans) span_actor_ = cfg_.spans->intern(actor_name_);
     if (is_client_) {
         if (cfg_.contexts.empty())
             throw std::invalid_argument("mctls::Session: client needs at least one context");
@@ -49,141 +42,27 @@ Session::Session(SessionConfig cfg) : cfg_(std::move(cfg))
             if (ctx.permissions.size() != cfg_.middleboxes.size())
                 throw std::invalid_argument("mctls::Session: permission row size mismatch");
         }
-        state_ = State::idle;
+        step_ = Step::idle;
     } else {
-        state_ = State::wait_client_hello;
+        step_ = Step::wait_client_hello;
     }
 }
 
-Status Session::fail(std::string message)
+void Session::queue_flight_and_finished(ConstBytes flight, ConstBytes finished)
 {
-    return fail(AlertDescription::handshake_failure, std::move(message));
+    Bytes unit;
+    encode_flight(flight, unit);
+    encode_ccs_finished(finished, unit);
+    out_.push(std::move(unit));
+    probe_.emit(obs::EventType::hs_finished_sent);
 }
 
-Status Session::fail(AlertDescription description, std::string message)
+void Session::complete_handshake()
 {
-    return fail_with(SessionError::Origin::local, description, std::move(message),
-                     /*emit_alert=*/true);
-}
-
-Status Session::fail_with(SessionError::Origin origin, AlertDescription description,
-                          std::string message, bool emit_alert)
-{
-    bool in_handshake = state_ != State::established && state_ != State::closed;
-    state_ = State::failed;
-    error_ = std::move(message);
-    if (!failure_.failed()) failure_ = {origin, description, error_};
-    if (in_handshake)
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_failed, 0,
-                   static_cast<uint64_t>(description));
-    // Fatal alert to the peer, best effort (never in response to the peer's
-    // own fatal alert, which would just echo noise at a dead session).
-    if (emit_alert) send_alert(tls::fatal_alert(description));
-    return err(error_);
-}
-
-void Session::send_alert(const tls::Alert& alert)
-{
-    if (alert_sent_ && alert_sent_->is_fatal()) return;  // at most one fatal
-    if (alert.is_close_notify()) {
-        // At most one close_notify on the wire, even when a local close()
-        // races the peer's incoming fatal alert or close.
-        if (close_notify_emitted_) return;
-        close_notify_emitted_ = true;
-    }
-    alert_sent_ = alert;
-    ++alerts_sent_;
-    ++alerts_sent_by_type_[to_string(alert.description)];
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::alert_sent, kControlContext,
-               static_cast<uint64_t>(alert.description));
-    tls::Record rec{tls::ContentType::alert, kControlContext, alert.serialize()};
-    write_units_.push_back(codec_.encode(rec));
-}
-
-Status Session::handle_alert(const tls::Alert& alert)
-{
-    peer_alert_ = alert;
-    ++alerts_received_;
-    ++alerts_received_by_type_[to_string(alert.description)];
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::alert_received, kControlContext,
-               static_cast<uint64_t>(alert.description));
-    if (alert.is_close_notify()) {
-        peer_close_received_ = true;
-        if (state_ == State::closed) return {};
-        if (state_ != State::established)
-            return fail_with(SessionError::Origin::peer, AlertDescription::close_notify,
-                             "mctls: close_notify during handshake", /*emit_alert=*/false);
-        if (!close_sent_) {
-            close_sent_ = true;
-            send_alert(tls::close_notify_alert());
-        }
-        state_ = State::closed;
-        return {};
-    }
-    if (!alert.is_fatal()) return {};  // unknown warnings are ignorable
-    return fail_with(SessionError::Origin::peer, alert.description,
-                     std::string("mctls: peer alert: ") + to_string(alert.description),
-                     /*emit_alert=*/false);
-}
-
-Status Session::tick(uint64_t now)
-{
-    if (state_ == State::failed) return err(error_);
-    if (state_ == State::established || state_ == State::closed) return {};
-    if (cfg_.handshake_timeout == 0) return {};
-    if (handshake_deadline_ == 0) {
-        handshake_deadline_ = now + cfg_.handshake_timeout;
-        return {};
-    }
-    if (now < handshake_deadline_) return {};
-    return fail_with(SessionError::Origin::timeout, AlertDescription::handshake_timeout,
-                     "mctls: handshake deadline exceeded", /*emit_alert=*/true);
-}
-
-void Session::close()
-{
-    if (state_ == State::failed || close_sent_) return;
-    close_sent_ = true;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::session_close);
-    send_alert(tls::close_notify_alert());
-    // Mid-handshake close abandons the session; an established session keeps
-    // receiving until the peer's close_notify arrives.
-    if (state_ != State::established || peer_close_received_) state_ = State::closed;
-}
-
-void Session::transport_closed()
-{
-    if (state_ == State::failed || state_ == State::closed) return;
-    truncated_ = true;
-    (void)fail_with(SessionError::Origin::truncated, AlertDescription::close_notify,
-                    "mctls: transport closed without close_notify (truncated)",
-                    /*emit_alert=*/false);
-}
-
-void Session::queue_record(const tls::Record& record, bool own_unit)
-{
-    Bytes wire = codec_.encode(record);
-    if (record.type != tls::ContentType::application_data)
-        handshake_wire_bytes_ += wire.size();
-    if (own_unit || write_units_.empty()) {
-        write_units_.push_back(std::move(wire));
-    } else {
-        append(write_units_.back(), wire);
-    }
-}
-
-void Session::flush_flight_into_unit(ConstBytes flight, Bytes* unit)
-{
-    size_t off = 0;
-    while (off < flight.size()) {
-        size_t take = std::min(tls::kMaxFragment, flight.size() - off);
-        tls::Record rec{tls::ContentType::handshake, kControlContext,
-                        Bytes(flight.begin() + off, flight.begin() + off + take)};
-        Bytes wire = codec_.encode(rec);
-        handshake_wire_bytes_ += wire.size();
-        append(*unit, wire);
-        off += take;
-    }
+    step_ = Step::done;
+    phase_ = Phase::established;
+    handshake_ever_complete_ = true;
+    probe_.emit(obs::EventType::hs_complete, 0, handshake_wire_bytes_);
 }
 
 const ContextDescription* Session::find_context(uint8_t id) const
@@ -214,7 +93,7 @@ Permission Session::granted_permission(size_t mbox, uint8_t ctx) const
 
 void Session::start()
 {
-    if (!is_client_ || state_ != State::idle)
+    if (!is_client_ || step_ != Step::idle || phase_ != Phase::handshaking)
         throw std::logic_error("mctls::Session: start() is for idle clients");
 
     middleboxes_ = cfg_.middleboxes;
@@ -248,8 +127,7 @@ void Session::start()
         }
         if (covered) {
             hello.session_id = cfg_.ticket->session_id;
-            obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_resume_offer, 0,
-                       hello.session_id.size());
+            probe_.emit(obs::EventType::hs_resume_offer, 0, hello.session_id.size());
         }
     }
 
@@ -260,81 +138,10 @@ void Session::start()
     crypto::count_hash(cfg_.ops);
 
     Bytes unit;
-    flush_flight_into_unit(wire, &unit);
-    write_units_.push_back(std::move(unit));
-    state_ = State::wait_server_flight;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_start, 0,
-               handshake_wire_bytes_);
-}
-
-Status Session::feed(ConstBytes wire)
-{
-    if (state_ == State::failed) return err(error_);
-    codec_.feed(wire);
-    while (true) {
-        auto next = codec_.next_view();
-        if (!next) return fail(AlertDescription::decode_error, next.error().message);
-        if (!next.value().has_value()) return {};
-        if (auto s = handle_record_view(*next.value()); !s) return s;
-    }
-}
-
-Status Session::handle_record_view(const tls::RecordView& view)
-{
-    // Established app data is the hot path: open straight from the codec
-    // buffer, no owning Record in between.
-    if (view.type == tls::ContentType::application_data && state_ == State::established)
-        return handle_app_record(view.context_id, view.payload);
-    tls::Record record;
-    record.type = view.type;
-    record.context_id = view.context_id;
-    record.payload = to_bytes(view.payload);
-    return handle_record(record);
-}
-
-Status Session::handle_record(const tls::Record& record)
-{
-    if (record.type == tls::ContentType::alert) {
-        auto alert = tls::Alert::parse(record.payload);
-        if (!alert) return fail(AlertDescription::decode_error, "mctls: malformed alert");
-        return handle_alert(alert.value());
-    }
-    if (state_ == State::closed)
-        return fail(AlertDescription::unexpected_message,
-                    "mctls: record after close_notify");
-    switch (record.type) {
-    case tls::ContentType::alert:
-        return {};  // handled above
-    case tls::ContentType::change_cipher_spec:
-        handshake_wire_bytes_ += record.payload.size() + codec_.header_size();
-        ccs_received_ = true;
-        return {};
-    case tls::ContentType::handshake: {
-        handshake_wire_bytes_ += record.payload.size() + codec_.header_size();
-        Bytes payload = record.payload;
-        if (ccs_received_ && control_recv_) {
-            auto plain =
-                control_recv_->unprotect(record.type, record.context_id, payload);
-            if (!plain)
-                return fail(AlertDescription::bad_record_mac,
-                            "mctls: " + plain.error().message);
-            crypto::count_dec(cfg_.ops);
-            payload = plain.take();
-        }
-        handshake_reader_.feed(payload);
-        while (true) {
-            auto msg = handshake_reader_.next();
-            if (!msg) return fail(AlertDescription::decode_error, msg.error().message);
-            if (!msg.value().has_value()) return {};
-            if (auto s = handle_handshake(*msg.value()); !s) return s;
-        }
-    }
-    case tls::ContentType::rekey:
-        return handle_rekey_record(record);
-    case tls::ContentType::application_data:
-        return handle_app_record(record.context_id, record.payload);
-    }
-    return fail(AlertDescription::decode_error, "mctls: unknown record type");
+    encode_flight(wire, unit);
+    out_.push(std::move(unit));
+    step_ = Step::wait_server_flight;
+    probe_.emit(obs::EventType::hs_start, 0, handshake_wire_bytes_);
 }
 
 Status Session::handle_handshake(const tls::HandshakeMessage& msg)
@@ -364,8 +171,7 @@ Status Session::handle_bundle_message(const tls::HandshakeMessage& msg)
         mbox.hello_seen = true;
         transcript_.add_bundle_part(i, 0, wire);
         crypto::count_hash(cfg_.ops);
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_mbox_hello, i,
-                   wire.size());
+        probe_.emit(obs::EventType::hs_mbox_hello, i, wire.size());
 
         bool check = cfg_.trust && (is_client_ || cfg_.authenticate_middleboxes);
         if (check) {
@@ -419,7 +225,7 @@ Status Session::handle_bundle_message(const tls::HandshakeMessage& msg)
     if (check) crypto::count_verify(cfg_.ops);
 
     // Client: the server flight is complete once SHD and every bundle landed.
-    if (is_client_ && state_ == State::wait_server_flight && shd_seen_) {
+    if (is_client_ && step_ == Step::wait_server_flight && shd_seen_) {
         bool all = std::all_of(mbox_state_.begin(), mbox_state_.end(),
                                [](const MiddleboxState& m) { return m.complete(); });
         if (all) return client_send_second_flight();
@@ -432,7 +238,7 @@ Status Session::client_handle(const tls::HandshakeMessage& msg)
     Bytes wire = msg.serialize();
     switch (msg.type) {
     case tls::HandshakeType::server_hello: {
-        if (state_ != State::wait_server_flight)
+        if (step_ != Step::wait_server_flight)
             return fail(AlertDescription::unexpected_message, "mctls: unexpected ServerHello");
         auto hello = tls::ServerHello::parse(msg.body);
         if (!hello) return fail(hello.error().message);
@@ -483,8 +289,7 @@ Status Session::client_handle(const tls::HandshakeMessage& msg)
         transcript_.set(Transcript::Slot::server_hello_done, wire);
         crypto::count_hash(cfg_.ops);
         shd_seen_ = true;
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_server_flight, 0,
-                   handshake_wire_bytes_);
+        probe_.emit(obs::EventType::hs_server_flight, 0, handshake_wire_bytes_);
         bool all = std::all_of(mbox_state_.begin(), mbox_state_.end(),
                                [](const MiddleboxState& m) { return m.complete(); });
         if (all) return client_send_second_flight();
@@ -511,7 +316,7 @@ Status Session::server_handle(const tls::HandshakeMessage& msg)
     Bytes wire = msg.serialize();
     switch (msg.type) {
     case tls::HandshakeType::client_hello: {
-        if (state_ != State::wait_client_hello)
+        if (step_ != Step::wait_client_hello)
             return fail(AlertDescription::unexpected_message, "mctls: unexpected ClientHello");
         auto hello = tls::ClientHello::parse(msg.body);
         if (!hello) return fail(hello.error().message);
@@ -520,8 +325,7 @@ Status Session::server_handle(const tls::HandshakeMessage& msg)
             suite_ok |= s == tls::kCipherSuiteX25519Ed25519Aes128Sha256;
         if (!suite_ok)
             return fail(AlertDescription::handshake_failure, "mctls: no common cipher suite");
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_client_hello, 0,
-                   msg.body.size());
+        probe_.emit(obs::EventType::hs_client_hello, 0, msg.body.size());
         client_random_ = hello.value().random;
         auto ext = MiddleboxListExtension::parse(hello.value().extensions);
         if (!ext)
@@ -540,8 +344,7 @@ Status Session::server_handle(const tls::HandshakeMessage& msg)
         if (server_try_resumption(hello.value()))
             return server_send_resumed_flight(wire);
         if (!hello.value().session_id.empty())
-            obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_resume_reject, 0,
-                       hello.value().session_id.size());
+            probe_.emit(obs::EventType::hs_resume_reject, 0, hello.value().session_id.size());
 
         ckd_ = cfg_.client_key_distribution;
         granted_.assign(contexts_.size(), {});
@@ -600,15 +403,14 @@ Status Session::server_handle(const tls::HandshakeMessage& msg)
         append(flight, shd_wire);
 
         Bytes unit;
-        flush_flight_into_unit(flight, &unit);
-        write_units_.push_back(std::move(unit));
-        state_ = State::wait_client_flight;
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_server_flight, 0,
-                   handshake_wire_bytes_);
+        encode_flight(flight, unit);
+        out_.push(std::move(unit));
+        step_ = Step::wait_client_flight;
+        probe_.emit(obs::EventType::hs_server_flight, 0, handshake_wire_bytes_);
         return {};
     }
     case tls::HandshakeType::client_key_exchange: {
-        if (state_ != State::wait_client_flight)
+        if (step_ != Step::wait_client_flight)
             return fail(AlertDescription::unexpected_message, "mctls: unexpected CKE");
         auto kx = tls::ClientKeyExchange::parse(msg.body);
         if (!kx) return fail(kx.error().message);
@@ -660,9 +462,9 @@ void Session::derive_endpoint_secrets_from_scs()
 
     size_t send_dir = is_client_ ? 0 : 1;
     size_t recv_dir = 1 - send_dir;
-    control_send_ = std::make_unique<tls::CbcHmacProtector>(
+    send_protector_ = std::make_unique<tls::CbcHmacProtector>(
         endpoint_keys_.control_enc[send_dir], endpoint_keys_.record_mac[send_dir]);
-    control_recv_ = std::make_unique<tls::CbcHmacProtector>(
+    recv_protector_ = std::make_unique<tls::CbcHmacProtector>(
         endpoint_keys_.control_enc[recv_dir], endpoint_keys_.record_mac[recv_dir]);
 
     if (ckd_) {
@@ -678,8 +480,7 @@ void Session::derive_endpoint_secrets_from_scs()
             crypto::count_keygen(cfg_.ops, 2);  // K^E_readers, K^E_writers
         }
     }
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_key_distribution, 0,
-               contexts_.size(), ckd_ ? 1 : 0);
+    probe_.emit(obs::EventType::hs_key_distribution, 0, contexts_.size(), ckd_ ? 1 : 0);
 
     keylog_endpoint_keys(cfg_.keylog, client_random_, endpoint_keys_);
     // CKD context keys are final here; contributory keys are logged once
@@ -694,7 +495,7 @@ void Session::keylog_contexts(uint32_t epoch, const std::map<uint8_t, ContextKey
         keylog_context_keys(cfg_.keylog, client_random_, epoch, id, ctx_keys);
 }
 
-Bytes Session::seal_middlebox_material(size_t mbox_index)
+MiddleboxKeyMaterial Session::middlebox_material(size_t mbox_index)
 {
     MiddleboxState& mbox = mbox_state_[mbox_index];
     std::vector<MiddleboxMaterialEntry> entries;
@@ -713,13 +514,26 @@ Bytes Session::seal_middlebox_material(size_t mbox_index)
         }
         entries.push_back(std::move(entry));
     }
-    Bytes plaintext = serialize_middlebox_material(entries);
-    uint8_t sender = is_client_ ? kEntityClient : kEntityServer;
-    Bytes sealed = authenc_seal(mbox.pairwise,
-                                key_material_ad(sender, static_cast<uint8_t>(mbox_index)),
-                                plaintext, *cfg_.rng);
+    MiddleboxKeyMaterial km;
+    km.sender = is_client_ ? kEntityClient : kEntityServer;
+    km.entity = static_cast<uint8_t>(mbox_index);
+    km.sealed = authenc_seal(mbox.pairwise, key_material_ad(km.sender, km.entity),
+                             serialize_middlebox_material(entries), *cfg_.rng);
     crypto::count_enc(cfg_.ops);
-    return sealed;
+    return km;
+}
+
+MiddleboxKeyMaterial Session::endpoint_material()
+{
+    std::vector<EndpointMaterialEntry> entries;
+    for (const auto& ctx : contexts_) entries.push_back({ctx.id, own_partials_[ctx.id]});
+    MiddleboxKeyMaterial km;
+    km.sender = is_client_ ? kEntityClient : kEntityServer;
+    km.entity = is_client_ ? kEntityServer : kEntityClient;
+    km.sealed = authenc_seal(endpoint_keys_.key_material, key_material_ad(km.sender, km.entity),
+                             serialize_endpoint_material(entries), *cfg_.rng);
+    crypto::count_enc(cfg_.ops);
+    return km;
 }
 
 Status Session::unseal_middlebox_material_from_peer(const MiddleboxKeyMaterial& km)
@@ -779,10 +593,7 @@ Status Session::client_send_second_flight()
     append(flight, cke_wire);
 
     for (size_t i = 0; i < mbox_state_.size(); ++i) {
-        MiddleboxKeyMaterial km;
-        km.sender = kEntityClient;
-        km.entity = static_cast<uint8_t>(i);
-        km.sealed = seal_middlebox_material(i);
+        MiddleboxKeyMaterial km = middlebox_material(i);
         Bytes km_wire = km.to_message().serialize();
         transcript_.add_client_key_material(km.entity, km_wire);
         crypto::count_hash(cfg_.ops);
@@ -790,50 +601,19 @@ Status Session::client_send_second_flight()
     }
 
     if (!ckd_) {
-        std::vector<EndpointMaterialEntry> entries;
-        for (const auto& ctx : contexts_)
-            entries.push_back({ctx.id, own_partials_[ctx.id]});
-        MiddleboxKeyMaterial km;
-        km.sender = kEntityClient;
-        km.entity = kEntityServer;
-        km.sealed = authenc_seal(endpoint_keys_.key_material,
-                                 key_material_ad(km.sender, km.entity),
-                                 serialize_endpoint_material(entries), *cfg_.rng);
-        crypto::count_enc(cfg_.ops);
+        MiddleboxKeyMaterial km = endpoint_material();
         Bytes km_wire = km.to_message().serialize();
         transcript_.add_client_key_material(km.entity, km_wire);
         crypto::count_hash(cfg_.ops);
         append(flight, km_wire);
     }
 
-    Bytes unit;
-    flush_flight_into_unit(flight, &unit);
-
-    // CCS + encrypted Finished.
-    tls::Record ccs{tls::ContentType::change_cipher_spec, kControlContext, Bytes{1}};
-    Bytes ccs_wire = codec_.encode(ccs);
-    handshake_wire_bytes_ += ccs_wire.size();
-    append(unit, ccs_wire);
-    ccs_sent_ = true;
-
-    Bytes verify = finished_verify_data("client finished", false);
-    tls::Finished fin{verify};
+    tls::Finished fin{finished_verify_data("client finished", false)};
     Bytes fin_wire = fin.to_message().serialize();
     transcript_.set_client_finished(fin_wire);
     crypto::count_hash(cfg_.ops);
-    Bytes protected_payload =
-        control_send_->protect(tls::ContentType::handshake, kControlContext, fin_wire,
-                               *cfg_.rng);
-    crypto::count_enc(cfg_.ops);
-    tls::Record fin_rec{tls::ContentType::handshake, kControlContext, protected_payload};
-    Bytes fin_rec_wire = codec_.encode(fin_rec);
-    handshake_wire_bytes_ += fin_rec_wire.size();
-    append(unit, fin_rec_wire);
-    finished_sent_ = true;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_finished_sent);
-
-    write_units_.push_back(std::move(unit));
-    state_ = State::wait_server_second;
+    queue_flight_and_finished(flight, fin_wire);
+    step_ = Step::wait_server_second;
     return {};
 }
 
@@ -855,55 +635,16 @@ Status Session::server_send_final_flight()
             mbox.pairwise = derive_pairwise_key(s_sm, server_random_, mbox.random);
             crypto::count_keygen(cfg_.ops);
 
-            MiddleboxKeyMaterial km;
-            km.sender = kEntityServer;
-            km.entity = static_cast<uint8_t>(i);
-            km.sealed = seal_middlebox_material(i);
-            append(flight, km.to_message().serialize());
+            append(flight, middlebox_material(i).to_message().serialize());
         }
-
-        std::vector<EndpointMaterialEntry> entries;
-        for (const auto& ctx : contexts_)
-            entries.push_back({ctx.id, own_partials_[ctx.id]});
-        MiddleboxKeyMaterial km;
-        km.sender = kEntityServer;
-        km.entity = kEntityClient;
-        km.sealed = authenc_seal(endpoint_keys_.key_material,
-                                 key_material_ad(km.sender, km.entity),
-                                 serialize_endpoint_material(entries), *cfg_.rng);
-        crypto::count_enc(cfg_.ops);
-        append(flight, km.to_message().serialize());
+        append(flight, endpoint_material().to_message().serialize());
     }
 
-    Bytes unit;
-    flush_flight_into_unit(flight, &unit);
-
-    tls::Record ccs{tls::ContentType::change_cipher_spec, kControlContext, Bytes{1}};
-    Bytes ccs_wire = codec_.encode(ccs);
-    handshake_wire_bytes_ += ccs_wire.size();
-    append(unit, ccs_wire);
-    ccs_sent_ = true;
-
-    Bytes verify = finished_verify_data("server finished", true);
-    tls::Finished fin{verify};
+    tls::Finished fin{finished_verify_data("server finished", true)};
     Bytes fin_wire = fin.to_message().serialize();
     crypto::count_hash(cfg_.ops);
-    Bytes protected_payload =
-        control_send_->protect(tls::ContentType::handshake, kControlContext, fin_wire,
-                               *cfg_.rng);
-    crypto::count_enc(cfg_.ops);
-    tls::Record fin_rec{tls::ContentType::handshake, kControlContext, protected_payload};
-    Bytes fin_rec_wire = codec_.encode(fin_rec);
-    handshake_wire_bytes_ += fin_rec_wire.size();
-    append(unit, fin_rec_wire);
-    finished_sent_ = true;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_finished_sent);
-
-    write_units_.push_back(std::move(unit));
-    state_ = State::established;
-    handshake_ever_complete_ = true;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_complete, 0,
-               handshake_wire_bytes_);
+    queue_flight_and_finished(flight, fin_wire);
+    complete_handshake();
     if (cfg_.session_cache && !session_id_.empty()) cfg_.session_cache->put(ticket());
     return {};
 }
@@ -923,7 +664,7 @@ Status Session::verify_peer_finished(const tls::HandshakeMessage& msg)
         return fail(AlertDescription::unexpected_message, "mctls: Finished before CCS");
 
     if (is_client_) {
-        if (state_ != State::wait_server_second)
+        if (step_ != Step::wait_server_second)
             return fail(AlertDescription::unexpected_message, "mctls: unexpected Finished");
         if (!ckd_ && !peer_material_received_)
             return fail(AlertDescription::unexpected_message,
@@ -933,21 +674,18 @@ Status Session::verify_peer_finished(const tls::HandshakeMessage& msg)
         if (!crypto::ct_equal(expected, fin.value().verify_data))
             return fail(AlertDescription::decrypt_error,
                         "mctls: server Finished verification failed");
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_finished_verified);
+        probe_.emit(obs::EventType::hs_finished_verified);
         if (resumed_) {
             append(resumed_transcript_, msg.serialize());
             crypto::count_hash(cfg_.ops);
             return client_send_resumed_flight();
         }
-        state_ = State::established;
-        handshake_ever_complete_ = true;
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_complete, 0,
-                   handshake_wire_bytes_);
+        complete_handshake();
         return {};
     }
 
     // Server verifying the client's Finished.
-    if (state_ != State::wait_client_flight)
+    if (step_ != Step::wait_client_flight)
         return fail(AlertDescription::unexpected_message, "mctls: unexpected Finished");
     if (!resumed_ && peer_dh_public_.empty())
         return fail(AlertDescription::unexpected_message, "mctls: Finished before CKE");
@@ -959,12 +697,9 @@ Status Session::verify_peer_finished(const tls::HandshakeMessage& msg)
     if (!crypto::ct_equal(expected, fin.value().verify_data))
         return fail(AlertDescription::decrypt_error,
                     "mctls: client Finished verification failed");
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_finished_verified);
+    probe_.emit(obs::EventType::hs_finished_verified);
     if (resumed_) {
-        state_ = State::established;
-        handshake_ever_complete_ = true;
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_complete, 0,
-                   handshake_wire_bytes_);
+        complete_handshake();
         // Refresh the cache entry: after an excision this narrows the stored
         // composition to the surviving middleboxes.
         if (cfg_.session_cache && !session_id_.empty()) cfg_.session_cache->put(ticket());
@@ -975,17 +710,9 @@ Status Session::verify_peer_finished(const tls::HandshakeMessage& msg)
     return {};
 }
 
-Status Session::handle_app_record(uint8_t context_id, ConstBytes payload)
+Status Session::open_app_record(const tls::RecordView& view, obs::SpanContext in)
 {
-    // Pop the incoming transport span context before any failure path so a
-    // bad-MAC record still consumes its context and the FIFO stays aligned.
-    obs::SpanContext in_ctx;
-    if (obs::span_on(cfg_.spans) && !rx_span_queue_.empty()) {
-        in_ctx = rx_span_queue_.front();
-        rx_span_queue_.pop_front();
-    }
-    if (state_ != State::established)
-        return fail(AlertDescription::unexpected_message, "mctls: early application data");
+    uint8_t context_id = view.context_id;
     auto keys = context_keys_.find(context_id);
     if (keys == context_keys_.end())
         return fail(AlertDescription::illegal_parameter,
@@ -993,46 +720,23 @@ Status Session::handle_app_record(uint8_t context_id, ConstBytes payload)
 
     Direction dir = is_client_ ? Direction::server_to_client : Direction::client_to_server;
     StageNanos stage_ns;
-    StageNanos* tp = (obs::span_on(cfg_.spans) && in_ctx.valid()) ? &stage_ns : nullptr;
+    StageNanos* tp = (probe_.spans_on() && in.valid()) ? &stage_ns : nullptr;
     auto opened = open_record_endpoint(keys->second, endpoint_keys_, dir, app_recv_seq_,
-                                       context_id, payload, open_scratch_, tp);
+                                       context_id, view.payload, open_scratch_, tp);
     if (!opened) {
-        ++mac_failures_;
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::mac_verify_fail,
-                   context_id, payload.size());
+        probe_.mac_failure(context_id, view.payload.size());
         return fail(AlertDescription::bad_record_mac, opened.error().message);
     }
     ++app_recv_seq_;
+    size_t bytes = opened.value().payload.size();
+    CtxCounters& cc = ctx_counters_[context_id];
+    cc.bytes_in += bytes;
+    ++cc.records_in;
     // Receiving endpoint checks 2 of the record's 3 MACs: the writer MAC
     // (authenticity) and the endpoint MAC (modification detection).
-    macs_verified_ += 2;
-    ++app_records_received_;
-    CtxCounters& cc = ctx_counters_[context_id];
-    cc.bytes_in += opened.value().payload.size();
-    ++cc.records_in;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::record_open, context_id,
-               opened.value().payload.size(), 2, in_ctx.trace_id);
-    if (tp) {
-        uint64_t now = cfg_.spans->now();
-        obs::SpanRecord r;
-        r.trace_id = in_ctx.trace_id;
-        r.span_id = cfg_.spans->next_span_id();
-        r.parent_id = in_ctx.span_id;
-        r.start_ts = now;
-        r.end_ts = now;
-        r.cpu_ns = stage_ns.mac_ns + stage_ns.cipher_ns;
-        r.actor = span_actor_;
-        r.ctx = context_id;
-        r.a = stage_ns.macs;
-        r.stage = obs::Stage::decrypt_verify;
-        cfg_.spans->emit(r);
-        obs::SpanRecord d = r;
-        d.span_id = cfg_.spans->next_span_id();
-        d.cpu_ns = 0;
-        d.a = opened.value().payload.size();
-        d.stage = obs::Stage::deliver;
-        cfg_.spans->emit(d);
-    }
+    probe_.opened(obs::EventType::record_open, context_id, bytes, 2, in.trace_id);
+    if (tp)
+        probe_.deliver_spans(in, context_id, stage_ns.total_ns(), stage_ns.macs, bytes);
     app_chunks_.push_back(
         {context_id, to_bytes(opened.value().payload), opened.value().from_endpoint});
     return {};
@@ -1040,7 +744,7 @@ Status Session::handle_app_record(uint8_t context_id, ConstBytes payload)
 
 Status Session::send_app_data(uint8_t context_id, ConstBytes data)
 {
-    if (state_ != State::established) return err("mctls: not established");
+    if (phase_ != Phase::established) return err("mctls: not established");
     if (close_sent_) return err("mctls: send after close");
     auto keys = context_keys_.find(context_id);
     if (keys == context_keys_.end()) return err("mctls: unknown context");
@@ -1055,62 +759,33 @@ Status Session::send_app_data(uint8_t context_id, ConstBytes data)
         Bytes wire;
         wire.reserve(codec_.header_size() + body);
         StageNanos stage_ns;
-        StageNanos* tp = obs::span_on(cfg_.spans) ? &stage_ns : nullptr;
+        StageNanos* tp = probe_.spans_on() ? &stage_ns : nullptr;
         uint64_t encode_ns = 0;
         std::chrono::steady_clock::time_point t0;
         if (tp) t0 = std::chrono::steady_clock::now();
         codec_.encode_header_into(tls::ContentType::application_data, context_id, body, wire);
-        if (tp)
-            encode_ns = static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count());
+        if (tp) encode_ns = obs::SessionProbe::cpu_since(t0);
         seal_record_into(keys->second, endpoint_keys_, dir, app_send_seq_, context_id,
                          data.subspan(off, take), *cfg_.rng, wire, tp);
-        uint64_t span_trace = 0;  // this record's trace id, for the black box
+        obs::SpanContext rec;
         if (tp) {
             // Root span for this record's trace, plus CPU-stage children.
             // Sim time does not advance inside the session, so the root is
             // an instant here; its true end is the final deliver span.
-            obs::SpanContext rec = cfg_.spans->begin_trace();
-            uint64_t now = cfg_.spans->now();
-            obs::SpanRecord root;
-            root.trace_id = rec.trace_id;
-            root.span_id = rec.span_id;
-            root.start_ts = now;
-            root.end_ts = now;
-            root.actor = span_actor_;
-            root.ctx = context_id;
-            root.a = take;
-            root.stage = obs::Stage::record;
-            cfg_.spans->emit(root);
-            auto child = [&](obs::Stage st, uint64_t cpu, uint64_t a) {
-                obs::SpanRecord r = root;
-                r.span_id = cfg_.spans->next_span_id();
-                r.parent_id = rec.span_id;
-                r.cpu_ns = cpu;
-                r.a = a;
-                r.stage = st;
-                cfg_.spans->emit(r);
-            };
-            child(obs::Stage::encode, encode_ns, wire.size());
-            child(obs::Stage::mac, stage_ns.mac_ns, stage_ns.macs);
-            child(obs::Stage::encrypt, stage_ns.cipher_ns, take);
-            unit_spans_.resize(write_units_.size());  // pad untraced units
-            unit_spans_.push_back(rec);
-            span_trace = rec.trace_id;
+            uint64_t now = probe_.span_now();
+            rec = probe_.record_root(now, context_id, take);
+            probe_.span(now, rec, obs::Stage::encode, context_id, encode_ns, wire.size());
+            probe_.span(now, rec, obs::Stage::mac, context_id, stage_ns.mac_ns, stage_ns.macs);
+            probe_.span(now, rec, obs::Stage::encrypt, context_id, stage_ns.cipher_ns, take);
         }
         ++app_send_seq_;
         app_overhead_bytes_ += wire.size() - take;
-        ++app_records_sent_;
-        // seal_record computes all three MACs (endpoints, writers, readers).
-        macs_generated_ += 3;
         CtxCounters& cc = ctx_counters_[context_id];
         cc.bytes_out += take;
         ++cc.records_out;
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::record_seal, context_id,
-                   take, 3, span_trace);
-        write_units_.push_back(std::move(wire));
+        // seal_record computes all three MACs (endpoints, writers, readers).
+        probe_.sealed(context_id, take, 3, rec.trace_id);
+        out_.push(std::move(wire), rec);
         off += take;
     } while (off < data.size());
     return {};
@@ -1183,8 +858,7 @@ bool Session::server_try_resumption(const tls::ClientHello& hello)
 
 Status Session::server_send_resumed_flight(ConstBytes client_hello_wire)
 {
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_resume_accept, 0,
-               middleboxes_.size());
+    probe_.emit(obs::EventType::hs_resume_accept, 0, middleboxes_.size());
     resumed_transcript_.assign(client_hello_wire.begin(), client_hello_wire.end());
     derive_endpoint_secrets_from_scs();
 
@@ -1202,53 +876,17 @@ Status Session::server_send_resumed_flight(ConstBytes client_hello_wire)
     if (!ckd_) {
         // Fresh server halves for every surviving middlebox, sealed under the
         // cached pairwise keys, plus the endpoint half for the client.
-        for (size_t i = 0; i < mbox_state_.size(); ++i) {
-            MiddleboxKeyMaterial km;
-            km.sender = kEntityServer;
-            km.entity = static_cast<uint8_t>(i);
-            km.sealed = seal_middlebox_material(i);
-            append(flight, km.to_message().serialize());
-        }
-        std::vector<EndpointMaterialEntry> entries;
-        for (const auto& ctx : contexts_)
-            entries.push_back({ctx.id, own_partials_[ctx.id]});
-        MiddleboxKeyMaterial km;
-        km.sender = kEntityServer;
-        km.entity = kEntityClient;
-        km.sealed = authenc_seal(endpoint_keys_.key_material,
-                                 key_material_ad(km.sender, km.entity),
-                                 serialize_endpoint_material(entries), *cfg_.rng);
-        crypto::count_enc(cfg_.ops);
-        append(flight, km.to_message().serialize());
+        for (size_t i = 0; i < mbox_state_.size(); ++i)
+            append(flight, middlebox_material(i).to_message().serialize());
+        append(flight, endpoint_material().to_message().serialize());
     }
 
-    Bytes unit;
-    flush_flight_into_unit(flight, &unit);
-
-    tls::Record ccs{tls::ContentType::change_cipher_spec, kControlContext, Bytes{1}};
-    Bytes ccs_wire = codec_.encode(ccs);
-    handshake_wire_bytes_ += ccs_wire.size();
-    append(unit, ccs_wire);
-    ccs_sent_ = true;
-
-    Bytes verify = resumed_finished_verify_data("server finished");
-    tls::Finished fin{verify};
+    tls::Finished fin{resumed_finished_verify_data("server finished")};
     Bytes fin_wire = fin.to_message().serialize();
     crypto::count_hash(cfg_.ops);
     append(resumed_transcript_, fin_wire);
-    Bytes protected_payload =
-        control_send_->protect(tls::ContentType::handshake, kControlContext, fin_wire,
-                               *cfg_.rng);
-    crypto::count_enc(cfg_.ops);
-    tls::Record fin_rec{tls::ContentType::handshake, kControlContext, protected_payload};
-    Bytes fin_rec_wire = codec_.encode(fin_rec);
-    handshake_wire_bytes_ += fin_rec_wire.size();
-    append(unit, fin_rec_wire);
-    finished_sent_ = true;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_finished_sent);
-
-    write_units_.push_back(std::move(unit));
-    state_ = State::wait_client_flight;
+    queue_flight_and_finished(flight, fin_wire);
+    step_ = Step::wait_client_flight;
     return {};
 }
 
@@ -1265,9 +903,8 @@ Status Session::client_accept_resumption(ConstBytes server_hello_wire)
     }
     append(resumed_transcript_, server_hello_wire);
     derive_endpoint_secrets_from_scs();
-    state_ = State::wait_server_second;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_resume_accept, 0,
-               middleboxes_.size());
+    step_ = Step::wait_server_second;
+    probe_.emit(obs::EventType::hs_resume_accept, 0, middleboxes_.size());
     return {};
 }
 
@@ -1275,56 +912,16 @@ Status Session::client_send_resumed_flight()
 {
     Bytes flight;
     for (size_t i = 0; i < mbox_state_.size(); ++i) {
-        MiddleboxKeyMaterial km;
-        km.sender = kEntityClient;
-        km.entity = static_cast<uint8_t>(i);
-        km.sealed = seal_middlebox_material(i);
         crypto::count_hash(cfg_.ops);
-        append(flight, km.to_message().serialize());
+        append(flight, middlebox_material(i).to_message().serialize());
     }
-    if (!ckd_) {
-        std::vector<EndpointMaterialEntry> entries;
-        for (const auto& ctx : contexts_)
-            entries.push_back({ctx.id, own_partials_[ctx.id]});
-        MiddleboxKeyMaterial km;
-        km.sender = kEntityClient;
-        km.entity = kEntityServer;
-        km.sealed = authenc_seal(endpoint_keys_.key_material,
-                                 key_material_ad(km.sender, km.entity),
-                                 serialize_endpoint_material(entries), *cfg_.rng);
-        crypto::count_enc(cfg_.ops);
-        append(flight, km.to_message().serialize());
-    }
+    if (!ckd_) append(flight, endpoint_material().to_message().serialize());
 
-    Bytes unit;
-    flush_flight_into_unit(flight, &unit);
-
-    tls::Record ccs{tls::ContentType::change_cipher_spec, kControlContext, Bytes{1}};
-    Bytes ccs_wire = codec_.encode(ccs);
-    handshake_wire_bytes_ += ccs_wire.size();
-    append(unit, ccs_wire);
-    ccs_sent_ = true;
-
-    Bytes verify = resumed_finished_verify_data("client finished");
-    tls::Finished fin{verify};
+    tls::Finished fin{resumed_finished_verify_data("client finished")};
     Bytes fin_wire = fin.to_message().serialize();
     crypto::count_hash(cfg_.ops);
-    Bytes protected_payload =
-        control_send_->protect(tls::ContentType::handshake, kControlContext, fin_wire,
-                               *cfg_.rng);
-    crypto::count_enc(cfg_.ops);
-    tls::Record fin_rec{tls::ContentType::handshake, kControlContext, protected_payload};
-    Bytes fin_rec_wire = codec_.encode(fin_rec);
-    handshake_wire_bytes_ += fin_rec_wire.size();
-    append(unit, fin_rec_wire);
-    finished_sent_ = true;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_finished_sent);
-
-    write_units_.push_back(std::move(unit));
-    state_ = State::established;
-    handshake_ever_complete_ = true;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_complete, 0,
-               handshake_wire_bytes_);
+    queue_flight_and_finished(flight, fin_wire);
+    complete_handshake();
     return {};
 }
 
@@ -1358,7 +955,7 @@ Bytes Session::context_key_fingerprint(uint8_t context_id) const
 Status Session::initiate_rekey(const std::vector<std::string>& revoke)
 {
     if (!is_client_) return err("mctls: only the client initiates a rekey");
-    if (state_ != State::established) return err("mctls: rekey before established");
+    if (phase_ != Phase::established) return err("mctls: rekey before established");
     if (close_sent_) return err("mctls: rekey after close");
     if (ckd_)
         return err("mctls: rekey requires contributory key mode");
@@ -1401,8 +998,7 @@ Status Session::initiate_rekey(const std::vector<std::string>& revoke)
     rec.entries.push_back(std::move(endpoint));
 
     queue_rekey_record(rec);
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::rekey_init, 0, pending_epoch_,
-               rekey_revoked_.size());
+    probe_.emit(obs::EventType::rekey_init, 0, pending_epoch_, rekey_revoked_.size());
     return {};
 }
 
@@ -1436,19 +1032,13 @@ void Session::queue_rekey_record(const RekeyRecord& rec)
     // Rekeys happen during the application phase; their cost is session
     // overhead, not handshake bytes (which tests use to detect re-handshakes).
     app_overhead_bytes_ += wire.size();
-    write_units_.push_back(std::move(wire));
+    out_.push(std::move(wire));
 }
 
 void Session::switch_direction_keys(Direction dir)
 {
-    size_t d = static_cast<size_t>(dir);
-    for (auto& [id, pending] : pending_context_keys_) {
-        ContextKeys& current = context_keys_[id];
-        current.reader_enc[d] = pending.reader_enc[d];
-        current.reader_mac[d] = pending.reader_mac[d];
-        current.writer_mac[d] = pending.writer_mac[d];
-    }
-    dir_switched_[d] = true;
+    install_direction_keys(context_keys_, pending_context_keys_, dir);
+    dir_switched_[static_cast<size_t>(dir)] = true;
 }
 
 void Session::finish_rekey_if_switched()
@@ -1460,14 +1050,14 @@ void Session::finish_rekey_if_switched()
     rekey_own_partials_.clear();
     pending_context_keys_.clear();
     rekey_revoked_.clear();
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::rekey_complete, 0, epoch_);
+    probe_.emit(obs::EventType::rekey_complete, 0, epoch_);
 }
 
-Status Session::handle_rekey_record(const tls::Record& record)
+Status Session::handle_rekey(const tls::RecordView& view)
 {
-    if (state_ != State::established)
+    if (phase_ != Phase::established)
         return fail(AlertDescription::unexpected_message, "mctls: early rekey record");
-    auto parsed = RekeyRecord::parse(record.payload);
+    auto parsed = RekeyRecord::parse(view.payload);
     if (!parsed) return fail(AlertDescription::decode_error, parsed.error().message);
     const RekeyRecord& rk = parsed.value();
 
@@ -1530,7 +1120,7 @@ Status Session::handle_rekey_record(const tls::Record& record)
         dir_switched_[0] = dir_switched_[1] = false;
         pending_context_keys_.clear();
         rekey_own_partials_.clear();
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::rekey_init, 0, rk.epoch);
+        probe_.emit(obs::EventType::rekey_init, 0, rk.epoch);
 
         const RekeyEntry* own = nullptr;
         for (const auto& e : rk.entries)
@@ -1605,25 +1195,10 @@ Status Session::handle_rekey_record(const tls::Record& record)
 
 obs::SessionStats Session::session_stats() const
 {
-    obs::SessionStats s;
-    s.actor = actor_name_;
-    s.established = state_ == State::established || state_ == State::closed;
-    if (failure_.failed()) s.failure = failure_.message;
+    obs::SessionStats s = core_stats();
     s.resumed = resumed_;
     s.epoch = epoch_;
     s.rekeys = rekeys_completed_;
-    s.handshake_wire_bytes = handshake_wire_bytes_;
-    s.app_overhead_bytes = app_overhead_bytes_;
-    s.app_records_sent = app_records_sent_;
-    s.app_records_received = app_records_received_;
-    s.macs_generated = macs_generated_;
-    s.macs_verified = macs_verified_;
-    s.mac_failures = mac_failures_;
-    s.alerts_sent = alerts_sent_;
-    s.alerts_received = alerts_received_;
-    s.alerts_sent_by_type = alerts_sent_by_type_;
-    s.alerts_received_by_type = alerts_received_by_type_;
-    if (cfg_.tracer) s.trace_events_dropped = cfg_.tracer->events_dropped();
     // Report every negotiated context, including idle ones, so callers see
     // the full permission matrix shape in a single snapshot.
     for (const auto& ctx : contexts_) {
@@ -1645,26 +1220,6 @@ obs::SessionStats Session::session_stats() const
 std::vector<AppChunk> Session::take_app_data()
 {
     return std::exchange(app_chunks_, {});
-}
-
-std::vector<Bytes> Session::take_write_units()
-{
-    if (obs::span_on(cfg_.spans)) {
-        unit_spans_.resize(write_units_.size());  // pad trailing untraced units
-        taken_unit_spans_ = std::move(unit_spans_);
-        unit_spans_.clear();
-    }
-    return std::exchange(write_units_, {});
-}
-
-std::vector<obs::SpanContext> Session::take_unit_spans()
-{
-    return std::exchange(taken_unit_spans_, {});
-}
-
-void Session::queue_rx_span(obs::SpanContext ctx)
-{
-    if (obs::span_on(cfg_.spans) && ctx.valid()) rx_span_queue_.push_back(ctx);
 }
 
 }  // namespace mct::mctls

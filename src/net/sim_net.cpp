@@ -58,9 +58,28 @@ void Connection::send_traced(ConstBytes data, obs::SpanContext ctx)
 
 std::vector<obs::SpanContext> Connection::take_rx_spans()
 {
-    std::vector<obs::SpanContext> out(rx_spans_.begin(), rx_spans_.end());
+    std::vector<obs::SpanContext> out;
+    for (const RxSpan& r : rx_spans_) out.push_back(r.ctx);
     rx_spans_.clear();
     return out;
+}
+
+void Connection::forward_traced(ConstBytes data, Connection& from)
+{
+    // `data` is the tail of `from`'s in-order stream: it ends at
+    // recv_expected_, and every range that completed in it ends inside it.
+    uint64_t chunk_start = from.recv_expected_ - data.size();
+    for (const RxSpan& r : from.rx_spans_) {
+        if (!obs::span_on(spans_) || r.end_seq <= chunk_start) continue;
+        SpanAnnotation a;
+        a.end_seq = app_bytes_sent_ + (r.end_seq - chunk_start);
+        a.start_seq = a.end_seq - 1;
+        a.ctx = r.ctx;
+        a.enqueue_ts = loop_->now();
+        tx_spans_.push_back(a);
+    }
+    from.rx_spans_.clear();
+    send(data);
 }
 
 // Runs on the receiving endpoint: the sender (peer_) owns the annotations,
@@ -94,7 +113,7 @@ void Connection::complete_delivered_spans()
         col->emit(t);
         // The next hop parents under the transmit span, chaining the tree
         // across middleboxes.
-        rx_spans_.push_back({a.ctx.trace_id, t.span_id});
+        rx_spans_.push_back({{a.ctx.trace_id, t.span_id}, a.end_seq});
     }
 }
 

@@ -108,6 +108,12 @@ public:
     // stream order. The caller (a session pulling from on_data) matches them
     // FIFO against the records it decodes.
     std::vector<obs::SpanContext> take_rx_spans();
+    // Blind relaying: send `data`, which `from` just delivered, and hand the
+    // contexts of traced ranges that completed in it on to the next hop. Each
+    // is anchored at its range's last byte, so the next hop's context
+    // completes exactly when the whole range has crossed it. Same as send()
+    // when nothing is traced.
+    void forward_traced(ConstBytes data, Connection& from);
     // Half-close after all queued data: peer sees on_close.
     void close();
     // Crash-style close: unsent queued data is discarded (a dead process
@@ -219,7 +225,11 @@ private:
         bool transmitted = false;
     };
     std::deque<SpanAnnotation> tx_spans_;    // oldest first; drained by the peer
-    std::deque<obs::SpanContext> rx_spans_;  // delivered to this endpoint
+    struct RxSpan {
+        obs::SpanContext ctx;
+        uint64_t end_seq = 0;  // where the range ended in the sender's stream
+    };
+    std::deque<RxSpan> rx_spans_;  // delivered to this endpoint
     obs::SpanCollector* spans_ = nullptr;
     uint16_t span_actor_ = 0;  // interned "tcp:<from>-><to>" (this tx side)
 

@@ -16,7 +16,7 @@
 // construction; push() stamps a POD into the slab — no allocation, no
 // hashing, no branching beyond the null check. Opening a ring (per session,
 // not per record) does the bookkeeping. With -DMCT_OBS=OFF the null-checked
-// helpers below compile to nothing, like trace()/span_emit().
+// helpers below compile to nothing, like trace_at().
 //
 // Ring lifecycle: open(sid, label) is idempotent per live (sid, label) pair
 // — a retrying session keeps appending to the same black box. close()
@@ -142,10 +142,10 @@ private:
     uint64_t dropped_recycled_ = 0;   // drops carried from recycled rings
 };
 
-// Null-checked emission helpers mirroring trace()/trace_at(): the two-sink
-// overloads feed the shared Tracer and the session's black box in one call,
-// flight_note() feeds only the ring (for span-correlated record events).
-// All compile out under -DMCT_OBS=OFF.
+// Null-checked two-sink emission helpers: feed the shared Tracer and a
+// session's black box in one call (obs::SessionProbe::emit() goes through
+// trace(); the testbed's harness events use trace_at()). Both compile out
+// under -DMCT_OBS=OFF.
 #if defined(MCT_OBS_ENABLED)
 inline void trace(Tracer* t, FlightRing* f, uint16_t actor, EventType type,
                   uint16_t ctx = 0, uint64_t a = 0, uint64_t b = 0, uint64_t span = 0)
@@ -160,11 +160,6 @@ inline void trace_at(Tracer* t, FlightRing* f, uint64_t ts, uint16_t actor,
     if (t) t->emit_at(ts, actor, type, ctx, a, b);
     if (f) f->push(type, ctx, a, b, span);
 }
-inline void flight_note(FlightRing* f, EventType type, uint16_t ctx = 0, uint64_t a = 0,
-                        uint64_t b = 0, uint64_t span = 0)
-{
-    if (f) f->push(type, ctx, a, b, span);
-}
 #else
 inline void trace(Tracer*, FlightRing*, uint16_t, EventType, uint16_t = 0, uint64_t = 0,
                   uint64_t = 0, uint64_t = 0)
@@ -172,10 +167,6 @@ inline void trace(Tracer*, FlightRing*, uint16_t, EventType, uint16_t = 0, uint6
 }
 inline void trace_at(Tracer*, FlightRing*, uint64_t, uint16_t, EventType, uint16_t = 0,
                      uint64_t = 0, uint64_t = 0, uint64_t = 0)
-{
-}
-inline void flight_note(FlightRing*, EventType, uint16_t = 0, uint64_t = 0, uint64_t = 0,
-                        uint64_t = 0)
 {
 }
 #endif

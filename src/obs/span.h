@@ -19,8 +19,8 @@
 //
 // Emission follows the TraceEvent idiom: fixed-size POD stamped on the stack
 // into a preallocated ring, so instrumenting the zero-copy fast path adds no
-// heap allocations. The null-checked helpers at the bottom compile out under
-// -DMCT_OBS=OFF.
+// heap allocations. The span_on() switch at the bottom compiles emission out
+// under -DMCT_OBS=OFF.
 #pragma once
 
 #include <cstdint>
@@ -120,19 +120,13 @@ private:
     uint64_t next_span_id_ = 0;
 };
 
-// Null-checked helpers for instrumented protocol code; compiled out under
-// -DMCT_OBS=OFF like trace()/trace_at().
+// Null-checked switch for instrumented code (sessions test it through
+// obs::SessionProbe); constant false under -DMCT_OBS=OFF, so every span
+// emission site compiles out.
 #if defined(MCT_OBS_ENABLED)
 inline bool span_on(const SpanCollector* c) { return c != nullptr; }
-inline uint64_t span_now(const SpanCollector* c) { return c ? c->now() : 0; }
-inline void span_emit(SpanCollector* c, const SpanRecord& r)
-{
-    if (c) c->emit(r);
-}
 #else
 inline bool span_on(const SpanCollector*) { return false; }
-inline uint64_t span_now(const SpanCollector*) { return 0; }
-inline void span_emit(SpanCollector*, const SpanRecord&) {}
 #endif
 
 }  // namespace mct::obs

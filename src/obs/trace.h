@@ -12,10 +12,10 @@
 // always-on sink); JsonlFileSink serializes per event and is meant for
 // capture runs, not hot paths.
 //
-// Protocol code calls the null-checked trace()/trace_at() helpers below
-// (same idiom as crypto::count_*). When the tree is configured with
-// -DMCT_OBS=OFF those helpers compile to nothing, so instrumented code
-// carries zero overhead.
+// Protocol sessions emit through obs::SessionProbe (obs/probe.h); the
+// simulated network calls the null-checked trace_at() helper below (same
+// idiom as crypto::count_*). When the tree is configured with -DMCT_OBS=OFF
+// both compile to nothing, so instrumented code carries zero overhead.
 #pragma once
 
 #include <cstdint>
@@ -211,21 +211,16 @@ private:
     uint64_t next_seq_ = 0;
 };
 
-// Null-checked emission helpers for instrumented protocol code. Compiled out
-// entirely when the tree is configured with -DMCT_OBS=OFF.
+// Null-checked emission helper for instrumented drivers (the simulated
+// network). Compiled out entirely when the tree is configured with
+// -DMCT_OBS=OFF.
 #if defined(MCT_OBS_ENABLED)
-inline void trace(Tracer* t, uint16_t actor, EventType type, uint16_t ctx = 0, uint64_t a = 0,
-                  uint64_t b = 0)
-{
-    if (t) t->emit(actor, type, ctx, a, b);
-}
 inline void trace_at(Tracer* t, uint64_t ts, uint16_t actor, EventType type, uint16_t ctx = 0,
                      uint64_t a = 0, uint64_t b = 0)
 {
     if (t) t->emit_at(ts, actor, type, ctx, a, b);
 }
 #else
-inline void trace(Tracer*, uint16_t, EventType, uint16_t = 0, uint64_t = 0, uint64_t = 0) {}
 inline void trace_at(Tracer*, uint64_t, uint16_t, EventType, uint16_t = 0, uint64_t = 0,
                      uint64_t = 0)
 {

@@ -20,131 +20,13 @@ constexpr size_t kMacKeySize = 32;
 
 }  // namespace
 
-Session::Session(SessionConfig cfg) : cfg_(std::move(cfg))
+Session::Session(SessionConfig cfg)
+    : Endpoint("tls", /*with_context_id=*/false, cfg,
+               cfg.role == Role::client ? "tls-client" : "tls-server"),
+      cfg_(std::move(cfg))
 {
     if (!cfg_.rng) throw std::invalid_argument("tls::Session: rng is required");
-    state_ = cfg_.role == Role::client ? State::idle : State::wait_client_hello;
-    actor_name_ = cfg_.trace_actor.empty()
-                      ? (cfg_.role == Role::client ? "tls-client" : "tls-server")
-                      : cfg_.trace_actor;
-    if (cfg_.tracer) trace_actor_ = cfg_.tracer->intern(actor_name_);
-    if (cfg_.spans) span_actor_ = cfg_.spans->intern(actor_name_);
-}
-
-Status Session::fail(std::string message)
-{
-    return fail(AlertDescription::handshake_failure, std::move(message));
-}
-
-Status Session::fail(AlertDescription description, std::string message)
-{
-    return fail_with(SessionError::Origin::local, description, std::move(message),
-                     /*emit_alert=*/true);
-}
-
-Status Session::fail_with(SessionError::Origin origin, AlertDescription description,
-                          std::string message, bool emit_alert)
-{
-    bool in_handshake = state_ != State::established && state_ != State::closed;
-    state_ = State::failed;
-    error_ = std::move(message);
-    if (!failure_.failed()) failure_ = {origin, description, error_};
-    if (in_handshake)
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_failed, 0,
-                   static_cast<uint64_t>(description));
-    // Fatal alert to the peer, best effort (never in response to the peer's
-    // own fatal alert, which would just echo noise at a dead session).
-    if (emit_alert) send_alert(fatal_alert(description));
-    return err(error_);
-}
-
-void Session::send_alert(const Alert& alert)
-{
-    if (alert_sent_ && alert_sent_->is_fatal()) return;  // at most one fatal
-    if (alert.is_close_notify()) {
-        // Idempotent shutdown: close() racing an incoming close_notify (or
-        // repeated close() calls) must not put a second close_notify on the
-        // wire. Deduped here at the emission layer so every caller is safe.
-        if (close_notify_emitted_) return;
-        close_notify_emitted_ = true;
-    }
-    alert_sent_ = alert;
-    ++alerts_sent_;
-    ++alerts_sent_by_type_[to_string(alert.description)];
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::alert_sent, 0,
-               static_cast<uint64_t>(alert.description));
-    queue_record({ContentType::alert, 0, alert.serialize()}, /*own_unit=*/true);
-}
-
-Status Session::handle_alert(const Alert& alert)
-{
-    peer_alert_ = alert;
-    ++alerts_received_;
-    ++alerts_received_by_type_[to_string(alert.description)];
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::alert_received, 0,
-               static_cast<uint64_t>(alert.description));
-    if (alert.is_close_notify()) {
-        peer_close_received_ = true;
-        if (state_ == State::closed) return {};
-        if (state_ != State::established)
-            return fail_with(SessionError::Origin::peer, AlertDescription::close_notify,
-                             "tls: close_notify during handshake", /*emit_alert=*/false);
-        if (!close_sent_) {
-            close_sent_ = true;
-            send_alert(close_notify_alert());
-        }
-        state_ = State::closed;
-        return {};
-    }
-    if (!alert.is_fatal()) return {};  // unknown warnings are ignorable
-    return fail_with(SessionError::Origin::peer, alert.description,
-                     std::string("tls: peer alert: ") + to_string(alert.description),
-                     /*emit_alert=*/false);
-}
-
-Status Session::tick(uint64_t now)
-{
-    if (state_ == State::failed) return err(error_);
-    if (state_ == State::established || state_ == State::closed) return {};
-    if (cfg_.handshake_timeout == 0) return {};
-    if (handshake_deadline_ == 0) {
-        handshake_deadline_ = now + cfg_.handshake_timeout;
-        return {};
-    }
-    if (now < handshake_deadline_) return {};
-    return fail_with(SessionError::Origin::timeout, AlertDescription::handshake_timeout,
-                     "tls: handshake deadline exceeded", /*emit_alert=*/true);
-}
-
-void Session::close()
-{
-    if (state_ == State::failed || close_sent_) return;
-    close_sent_ = true;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::session_close);
-    send_alert(close_notify_alert());
-    // Mid-handshake close abandons the session; an established session keeps
-    // receiving until the peer's close_notify arrives.
-    if (state_ != State::established || peer_close_received_) state_ = State::closed;
-}
-
-void Session::transport_closed()
-{
-    if (state_ == State::failed || state_ == State::closed) return;
-    truncated_ = true;
-    (void)fail_with(SessionError::Origin::truncated, AlertDescription::close_notify,
-                    "tls: transport closed without close_notify (truncated)",
-                    /*emit_alert=*/false);
-}
-
-void Session::queue_record(const Record& record, bool own_unit)
-{
-    Bytes wire = codec_.encode(record);
-    if (record.type != ContentType::application_data) handshake_wire_bytes_ += wire.size();
-    if (own_unit || write_units_.empty()) {
-        write_units_.push_back(std::move(wire));
-    } else {
-        append(write_units_.back(), wire);
-    }
+    step_ = cfg_.role == Role::client ? Step::idle : Step::wait_client_hello;
 }
 
 void Session::queue_handshake(const HandshakeMessage& msg, Bytes* flight)
@@ -155,26 +37,16 @@ void Session::queue_handshake(const HandshakeMessage& msg, Bytes* flight)
     append(*flight, wire);
 }
 
-void Session::flush_flight(Bytes flight)
+void Session::flush_flight(const Bytes& flight)
 {
-    // A flight may exceed the maximum record size; fragment as TLS does.
-    size_t off = 0;
     Bytes unit;
-    while (off < flight.size()) {
-        size_t take = std::min(kMaxFragment, flight.size() - off);
-        Record rec{ContentType::handshake, 0,
-                   Bytes(flight.begin() + off, flight.begin() + off + take)};
-        Bytes wire = codec_.encode(rec);
-        handshake_wire_bytes_ += wire.size();
-        append(unit, wire);
-        off += take;
-    }
-    if (!unit.empty()) write_units_.push_back(std::move(unit));
+    encode_flight(flight, unit);
+    if (!unit.empty()) out_.push(std::move(unit));
 }
 
 void Session::start()
 {
-    if (cfg_.role != Role::client || state_ != State::idle)
+    if (cfg_.role != Role::client || step_ != Step::idle || phase_ != Phase::handshaking)
         throw std::logic_error("tls::Session: start() is for idle clients");
 
     client_random_ = cfg_.rng->bytes(kRandomSize);
@@ -187,162 +59,52 @@ void Session::start()
     hello.cipher_suites = {kCipherSuiteX25519Ed25519Aes128Sha256};
     if (cfg_.ticket && cfg_.ticket->valid()) {
         hello.session_id = cfg_.ticket->session_id;
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_resume_offer, 0,
-                   hello.session_id.size());
+        probe_.emit(obs::EventType::hs_resume_offer, 0, hello.session_id.size());
     }
 
     Bytes flight;
     queue_handshake(hello.to_message(), &flight);
-    flush_flight(std::move(flight));
-    state_ = State::wait_server_hello;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_start, 0, handshake_wire_bytes_);
+    flush_flight(flight);
+    step_ = Step::wait_server_hello;
+    probe_.emit(obs::EventType::hs_start, 0, handshake_wire_bytes_);
 }
 
-Status Session::feed(ConstBytes wire)
+Status Session::open_app_record(const RecordView& view, obs::SpanContext in)
 {
-    if (state_ == State::failed) return err(error_);
-    codec_.feed(wire);
-    while (true) {
-        auto next = codec_.next_view();
-        if (!next) return fail(AlertDescription::decode_error, next.error().message);
-        if (!next.value().has_value()) return {};
-        if (auto s = handle_record_view(*next.value()); !s) return s;
+    // Decrypt straight from the codec buffer into the receive scratch.
+    bool traced = probe_.spans_on() && in.valid();
+    std::chrono::steady_clock::time_point t0;
+    if (traced) t0 = std::chrono::steady_clock::now();
+    recv_scratch_.clear();
+    auto plain = recv_protector_->unprotect_into(view.type, 0, view.payload, recv_scratch_);
+    if (!plain) {
+        probe_.mac_failure(0, view.payload.size());
+        return fail(AlertDescription::bad_record_mac, "tls: " + plain.error().message);
     }
+    // Baseline TLS verifies its single record MAC inside the fused open.
+    if (traced) probe_.deliver_spans(in, 0, obs::SessionProbe::cpu_since(t0), 1, plain.value());
+    app_bytes_received_ += plain.value();
+    probe_.opened(obs::EventType::record_open, 0, plain.value(), 1, in.trace_id);
+    append(app_data_, ConstBytes{recv_scratch_.data(), plain.value()});
+    return {};
 }
 
-Status Session::handle_record_view(const RecordView& view)
+Status Session::handle_rekey(const RecordView&)
 {
-    // Established app data is the hot path: decrypt straight from the codec
-    // buffer into the receive scratch, no owning Record in between.
-    if (view.type == ContentType::application_data && state_ == State::established) {
-        recv_scratch_.clear();
-        auto plain = recv_protector_->unprotect_into(view.type, 0, view.payload, recv_scratch_);
-        if (!plain) {
-            ++mac_failures_;
-            obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::mac_verify_fail, 0,
-                       view.payload.size());
-            return fail(AlertDescription::bad_record_mac, "tls: " + plain.error().message);
-        }
-        ++macs_verified_;
-        ++app_records_received_;
-        app_bytes_received_ += plain.value();
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::record_open, 0, plain.value(), 1);
-        append(app_data_, ConstBytes{recv_scratch_.data(), plain.value()});
-        return {};
-    }
-    Record record;
-    record.type = view.type;
-    record.context_id = view.context_id;
-    record.payload = to_bytes(view.payload);
-    return handle_record(record);
-}
-
-Status Session::handle_record(const Record& record)
-{
-    if (record.type == ContentType::alert) {
-        auto alert = Alert::parse(record.payload);
-        if (!alert) return fail(AlertDescription::decode_error, "tls: malformed alert");
-        return handle_alert(alert.value());
-    }
-    if (state_ == State::closed)
-        return fail(AlertDescription::unexpected_message, "tls: record after close_notify");
-    switch (record.type) {
-    case ContentType::alert:
-        return {};  // handled above
-    case ContentType::change_cipher_spec:
-        handshake_wire_bytes_ += record.payload.size() + codec_.header_size();
-        if (ccs_received_)
-            return fail(AlertDescription::unexpected_message, "tls: duplicate CCS");
-        ccs_received_ = true;
-        return {};
-    case ContentType::handshake: {
-        handshake_wire_bytes_ += record.payload.size() + codec_.header_size();
-        Bytes payload = record.payload;
-        if (ccs_received_ && recv_protector_) {
-            auto plain = recv_protector_->unprotect(record.type, 0, payload);
-            if (!plain)
-                return fail(AlertDescription::bad_record_mac,
-                            "tls: " + plain.error().message);
-            crypto::count_dec(cfg_.ops);
-            payload = plain.take();
-        }
-        handshake_reader_.feed(payload);
-        while (true) {
-            auto msg = handshake_reader_.next();
-            if (!msg) return fail(AlertDescription::decode_error, msg.error().message);
-            if (!msg.value().has_value()) return {};
-            if (auto s = handle_handshake(*msg.value()); !s) return s;
-        }
-    }
-    case ContentType::rekey:
-        // In-band rekeying is an mcTLS extension; baseline TLS rejects it.
-        return fail(AlertDescription::unexpected_message, "tls: unexpected rekey record");
-    case ContentType::application_data: {
-        // Pop the transport span context before any failure path (see
-        // mctls::Session::handle_app_record for the alignment argument).
-        obs::SpanContext in_ctx;
-        if (obs::span_on(cfg_.spans) && !rx_span_queue_.empty()) {
-            in_ctx = rx_span_queue_.front();
-            rx_span_queue_.pop_front();
-        }
-        if (state_ != State::established)
-            return fail(AlertDescription::unexpected_message, "tls: early app data");
-        std::chrono::steady_clock::time_point t0;
-        bool sp = obs::span_on(cfg_.spans) && in_ctx.valid();
-        if (sp) t0 = std::chrono::steady_clock::now();
-        auto plain = recv_protector_->unprotect(record.type, 0, record.payload);
-        if (!plain) {
-            ++mac_failures_;
-            obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::mac_verify_fail, 0,
-                       record.payload.size());
-            return fail(AlertDescription::bad_record_mac, "tls: " + plain.error().message);
-        }
-        if (sp) {
-            uint64_t cpu = static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count());
-            uint64_t now = cfg_.spans->now();
-            obs::SpanRecord r;
-            r.trace_id = in_ctx.trace_id;
-            r.span_id = cfg_.spans->next_span_id();
-            r.parent_id = in_ctx.span_id;
-            r.start_ts = now;
-            r.end_ts = now;
-            r.cpu_ns = cpu;
-            r.actor = span_actor_;
-            r.a = 1;
-            r.stage = obs::Stage::decrypt_verify;
-            cfg_.spans->emit(r);
-            obs::SpanRecord d = r;
-            d.span_id = cfg_.spans->next_span_id();
-            d.cpu_ns = 0;
-            d.a = plain.value().size();
-            d.stage = obs::Stage::deliver;
-            cfg_.spans->emit(d);
-        }
-        ++macs_verified_;
-        ++app_records_received_;
-        app_bytes_received_ += plain.value().size();
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::record_open, 0,
-                   plain.value().size(), 1, in_ctx.trace_id);
-        append(app_data_, plain.value());
-        return {};
-    }
-    }
-    return fail(AlertDescription::decode_error, "tls: unknown record type");
+    // In-band rekeying is an mcTLS extension; baseline TLS rejects it.
+    return fail(AlertDescription::unexpected_message, "tls: unexpected rekey record");
 }
 
 Status Session::handle_handshake(const HandshakeMessage& msg)
 {
-    switch (state_) {
-    case State::wait_server_hello:
+    switch (step_) {
+    case Step::wait_server_hello:
         return client_handle_server_flight(msg);
-    case State::wait_client_hello:
+    case Step::wait_client_hello:
         return server_handle_client_hello(msg);
-    case State::wait_client_finish:
+    case Step::wait_client_finish:
         return server_handle_second_flight(msg);
-    case State::wait_server_finish:
+    case Step::wait_server_finish:
         return handle_finished(msg);
     default:
         return fail(AlertDescription::unexpected_message, "tls: unexpected handshake message");
@@ -371,8 +133,8 @@ Status Session::client_handle_server_flight(const HandshakeMessage& msg)
             resumed_ = true;
             master_secret_ = cfg_.ticket->master_secret;
             derive_key_block();
-            state_ = State::wait_server_finish;
-            obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_resume_accept);
+            step_ = Step::wait_server_finish;
+            probe_.emit(obs::EventType::hs_resume_accept);
         }
         return {};
     }
@@ -401,16 +163,15 @@ Status Session::client_handle_server_flight(const HandshakeMessage& msg)
     case HandshakeType::server_hello_done: {
         if (peer_dh_public_.empty())
             return fail(AlertDescription::unexpected_message, "tls: hello done before SKE");
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_server_flight, 0,
-                   handshake_wire_bytes_);
+        probe_.emit(obs::EventType::hs_server_flight, 0, handshake_wire_bytes_);
         derive_keys();
 
         Bytes flight;
         ClientKeyExchange cke{our_dh_public_};
         queue_handshake(cke.to_message(), &flight);
-        flush_flight(std::move(flight));
-        send_ccs_and_finished(nullptr);
-        state_ = State::wait_server_finish;
+        flush_flight(flight);
+        send_ccs_and_finished();
+        step_ = Step::wait_server_finish;
         return {};
     }
     default:
@@ -422,8 +183,7 @@ Status Session::server_handle_client_hello(const HandshakeMessage& msg)
 {
     if (msg.type != HandshakeType::client_hello)
         return fail(AlertDescription::unexpected_message, "tls: expected ClientHello");
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_client_hello, 0,
-               msg.body.size());
+    probe_.emit(obs::EventType::hs_client_hello, 0, msg.body.size());
     Bytes wire = msg.serialize();
     append(transcript_, wire);
     crypto::count_hash(cfg_.ops);
@@ -447,20 +207,20 @@ Status Session::server_handle_client_hello(const HandshakeMessage& msg)
             resumed_ = true;
             session_id_ = offered;
             master_secret_ = cached->master_secret;
-            obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_resume_accept);
+            probe_.emit(obs::EventType::hs_resume_accept);
 
             Bytes flight;
             ServerHello sh;
             sh.random = server_random_;
             sh.session_id = session_id_;
             queue_handshake(sh.to_message(), &flight);
-            flush_flight(std::move(flight));
+            flush_flight(flight);
             derive_key_block();
-            send_ccs_and_finished(nullptr);
-            state_ = State::wait_client_finish;
+            send_ccs_and_finished();
+            step_ = Step::wait_client_finish;
             return {};
         }
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_resume_reject);
+        probe_.emit(obs::EventType::hs_resume_reject);
     }
 
     auto kp = crypto::x25519_keypair(*cfg_.rng);
@@ -490,8 +250,8 @@ Status Session::server_handle_client_hello(const HandshakeMessage& msg)
     queue_handshake(ske.to_message(), &flight);
 
     queue_handshake({HandshakeType::server_hello_done, {}}, &flight);
-    flush_flight(std::move(flight));
-    state_ = State::wait_client_finish;
+    flush_flight(flight);
+    step_ = Step::wait_client_finish;
     return {};
 }
 
@@ -551,7 +311,7 @@ void Session::derive_key_block()
         send_protector_ = std::make_unique<CbcHmacProtector>(server_key, server_mac);
         recv_protector_ = std::make_unique<CbcHmacProtector>(client_key, client_mac);
     }
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_key_distribution, 0, 1);
+    probe_.emit(obs::EventType::hs_key_distribution, 0, 1);
 }
 
 Bytes Session::finished_verify_data(const char* label) const
@@ -561,23 +321,16 @@ Bytes Session::finished_verify_data(const char* label) const
     return crypto::prf(master_secret_, label, digest, kVerifyDataSize);
 }
 
-void Session::send_ccs_and_finished(Bytes*)
+void Session::send_ccs_and_finished()
 {
-    queue_record({ContentType::change_cipher_spec, 0, Bytes{1}}, /*own_unit=*/false);
-    ccs_sent_ = true;
-
     const char* label = cfg_.role == Role::client ? "client finished" : "server finished";
     Finished fin{finished_verify_data(label)};
-    HandshakeMessage msg = fin.to_message();
-    Bytes wire = msg.serialize();
+    Bytes wire = fin.to_message().serialize();
     append(transcript_, wire);
     crypto::count_hash(cfg_.ops);
-
-    Bytes protected_payload =
-        send_protector_->protect(ContentType::handshake, 0, wire, *cfg_.rng);
-    crypto::count_enc(cfg_.ops);
-    queue_record({ContentType::handshake, 0, protected_payload}, /*own_unit=*/false);
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_finished_sent);
+    // Coalesces into the pending flight, as OpenSSL's buffered BIO does.
+    encode_ccs_finished(wire, out_.tail());
+    probe_.emit(obs::EventType::hs_finished_sent);
 }
 
 Status Session::handle_finished(const HandshakeMessage& msg)
@@ -595,23 +348,23 @@ Status Session::handle_finished(const HandshakeMessage& msg)
 
     append(transcript_, msg.serialize());
     crypto::count_hash(cfg_.ops);
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_finished_verified);
+    probe_.emit(obs::EventType::hs_finished_verified);
 
     // Full handshake: the server answers the client's Finished. Abbreviated:
     // the order flips — the server spoke first, the client answers here.
     bool respond = resumed_ ? cfg_.role == Role::client : cfg_.role == Role::server;
-    if (respond) send_ccs_and_finished(nullptr);
-    state_ = State::established;
+    if (respond) send_ccs_and_finished();
+    step_ = Step::done;
+    phase_ = Phase::established;
     if (cfg_.role == Role::server && cfg_.session_cache && !session_id_.empty())
         cfg_.session_cache->put({session_id_, master_secret_});
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_complete, 0,
-               handshake_wire_bytes_);
+    probe_.emit(obs::EventType::hs_complete, 0, handshake_wire_bytes_);
     return {};
 }
 
 Status Session::send_app_data(ConstBytes data)
 {
-    if (state_ != State::established) return err("tls: not established");
+    if (phase_ != Phase::established) return err("tls: not established");
     if (close_sent_) return err("tls: send after close");
     size_t off = 0;
     do {
@@ -623,47 +376,24 @@ Status Session::send_app_data(ConstBytes data)
         Bytes wire;
         wire.reserve(codec_.header_size() + body);
         codec_.encode_header_into(ContentType::application_data, 0, body, wire);
+        bool traced = probe_.spans_on();
         std::chrono::steady_clock::time_point t0;
-        bool sp = obs::span_on(cfg_.spans);
-        uint64_t span_trace = 0;  // last record's trace id, for the black box
-        if (sp) t0 = std::chrono::steady_clock::now();
+        if (traced) t0 = std::chrono::steady_clock::now();
         send_protector_->protect_into(ContentType::application_data, 0, chunk, *cfg_.rng, wire);
-        if (sp) {
+        obs::SpanContext rec;
+        if (traced) {
             // Baseline TLS gets a coarser breakdown than mcTLS: one root
             // plus a single encrypt child covering MAC+CBC (its protector
             // is one fused operation).
-            uint64_t cpu = static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count());
-            obs::SpanContext rec = cfg_.spans->begin_trace();
-            uint64_t now = cfg_.spans->now();
-            obs::SpanRecord root;
-            root.trace_id = rec.trace_id;
-            root.span_id = rec.span_id;
-            root.start_ts = now;
-            root.end_ts = now;
-            root.actor = span_actor_;
-            root.a = chunk.size();
-            root.stage = obs::Stage::record;
-            cfg_.spans->emit(root);
-            obs::SpanRecord enc = root;
-            enc.span_id = cfg_.spans->next_span_id();
-            enc.parent_id = rec.span_id;
-            enc.cpu_ns = cpu;
-            enc.stage = obs::Stage::encrypt;
-            cfg_.spans->emit(enc);
-            unit_spans_.resize(write_units_.size());
-            unit_spans_.push_back(rec);
-            span_trace = rec.trace_id;
+            uint64_t cpu = obs::SessionProbe::cpu_since(t0);
+            uint64_t now = probe_.span_now();
+            rec = probe_.record_root(now, 0, chunk.size());
+            probe_.span(now, rec, obs::Stage::encrypt, 0, cpu, chunk.size());
         }
         app_overhead_bytes_ += wire.size() - chunk.size();
-        ++app_records_sent_;
-        ++macs_generated_;
         app_bytes_sent_ += chunk.size();
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::record_seal, 0,
-                   chunk.size(), 1, span_trace);
-        write_units_.push_back(std::move(wire));
+        probe_.sealed(0, chunk.size(), 1, rec.trace_id);
+        out_.push(std::move(wire), rec);
         off += take;
     } while (off < data.size());
     return {};
@@ -671,30 +401,15 @@ Status Session::send_app_data(ConstBytes data)
 
 obs::SessionStats Session::session_stats() const
 {
-    obs::SessionStats s;
-    s.actor = actor_name_;
-    s.established = state_ == State::established || state_ == State::closed;
-    if (failure_.failed()) s.failure = failure_.message;
+    obs::SessionStats s = core_stats();
     s.resumed = resumed_;
-    s.handshake_wire_bytes = handshake_wire_bytes_;
-    s.app_overhead_bytes = app_overhead_bytes_;
-    s.app_records_sent = app_records_sent_;
-    s.app_records_received = app_records_received_;
-    s.macs_generated = macs_generated_;
-    s.macs_verified = macs_verified_;
-    s.mac_failures = mac_failures_;
-    s.alerts_sent = alerts_sent_;
-    s.alerts_received = alerts_received_;
-    s.alerts_sent_by_type = alerts_sent_by_type_;
-    s.alerts_received_by_type = alerts_received_by_type_;
-    if (cfg_.tracer) s.trace_events_dropped = cfg_.tracer->events_dropped();
     obs::ContextStats app;
     app.name = "app";
     app.id = 0;
     app.bytes_out = app_bytes_sent_;
     app.bytes_in = app_bytes_received_;
-    app.records_out = app_records_sent_;
-    app.records_in = app_records_received_;
+    app.records_out = s.app_records_sent;
+    app.records_in = s.app_records_received;
     s.contexts.push_back(std::move(app));
     return s;
 }
@@ -702,26 +417,6 @@ obs::SessionStats Session::session_stats() const
 Bytes Session::take_app_data()
 {
     return std::exchange(app_data_, {});
-}
-
-std::vector<Bytes> Session::take_write_units()
-{
-    if (obs::span_on(cfg_.spans)) {
-        unit_spans_.resize(write_units_.size());  // pad trailing untraced units
-        taken_unit_spans_ = std::move(unit_spans_);
-        unit_spans_.clear();
-    }
-    return std::exchange(write_units_, {});
-}
-
-std::vector<obs::SpanContext> Session::take_unit_spans()
-{
-    return std::exchange(taken_unit_spans_, {});
-}
-
-void Session::queue_rx_span(obs::SpanContext ctx)
-{
-    if (obs::span_on(cfg_.spans) && ctx.valid()) rx_span_queue_.push_back(ctx);
 }
 
 }  // namespace mct::tls

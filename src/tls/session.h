@@ -12,17 +12,12 @@
 // the full transcript.
 #pragma once
 
-#include <deque>
-#include <map>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "crypto/ops.h"
-#include "obs/obs.h"
 #include "pki/trust_store.h"
-#include "tls/alert.h"
+#include "tls/endpoint_core.h"
 #include "tls/messages.h"
 #include "tls/record.h"
 #include "tls/resumption.h"
@@ -72,27 +67,17 @@ struct SessionConfig {
     KeyLog* keylog = nullptr;
 };
 
-class Session {
+class Session : public Endpoint<Session> {
 public:
     explicit Session(SessionConfig cfg);
 
     // Client: queue the ClientHello flight.
     void start();
 
-    // Consume network bytes; may queue output and/or application data.
-    Status feed(ConstBytes wire);
-
-    // Wire blobs to transmit, one transport send() each.
-    std::vector<Bytes> take_write_units();
-
-    // Span contexts aligned with the most recent take_write_units(), and the
-    // incoming-context FIFO — same contract as mctls::Session.
-    std::vector<obs::SpanContext> take_unit_spans();
-    void queue_rx_span(obs::SpanContext ctx);
-
-    bool handshake_complete() const { return state_ == State::established; }
-    bool failed() const { return state_ == State::failed; }
-    const std::string& error() const { return error_; }
+    // feed(), take_write_units(), take_unit_spans(), queue_rx_span(), the
+    // failure semantics (tick/close/transport_closed, failure(), alerts) and
+    // the wire-byte accounting come from the shared endpoint core
+    // (tls/endpoint_core.h), with the same contract as mctls::Session.
 
     // --- Session continuity (see DESIGN.md "Session continuity") ---
 
@@ -101,39 +86,10 @@ public:
     // Ticket for reconnecting later; valid() only after the handshake.
     TlsTicket ticket() const { return {session_id_, master_secret_}; }
 
-    // --- Failure semantics (see DESIGN.md "Failure model") ---
-
-    // Drive time-based state. Arms the handshake deadline on the first call;
-    // once `now` passes it with the handshake still incomplete, the session
-    // fails with a fatal handshake_timeout alert instead of stalling.
-    Status tick(uint64_t now);
-
-    // Graceful shutdown: send close_notify (once). The session may keep
-    // receiving until the peer's close_notify arrives; sending is rejected.
-    void close();
-    // The transport reported EOF. Without a prior close_notify from the peer
-    // this flags the stream as truncated (truncation-attack detection).
-    void transport_closed();
-
-    bool closed() const { return state_ == State::closed; }
-    bool close_sent() const { return close_sent_; }
-    bool truncated() const { return truncated_; }
-    // Typed reason the session stopped (origin none while healthy).
-    const SessionError& failure() const { return failure_; }
-    // Last alert we emitted / the peer's alert, if any.
-    const std::optional<Alert>& alert_sent() const { return alert_sent_; }
-    const std::optional<Alert>& peer_alert() const { return peer_alert_; }
-
     // Encrypt one application-data record (one write unit).
     Status send_app_data(ConstBytes data);
     // Decrypted application bytes received so far.
     Bytes take_app_data();
-
-    // Total wire bytes of handshake records in both directions (Figure 8).
-    uint64_t handshake_wire_bytes() const { return handshake_wire_bytes_; }
-    // MAC+padding+header overhead of protected app records sent (§5.2).
-    uint64_t app_overhead_bytes() const { return app_overhead_bytes_; }
-    uint64_t app_records_sent() const { return app_records_sent_; }
 
     // Telemetry snapshot (counters are maintained unconditionally; they are
     // plain integers on paths that already do crypto work). Baseline TLS
@@ -143,29 +99,24 @@ public:
     const std::vector<pki::Certificate>& peer_chain() const { return peer_chain_; }
 
 private:
-    enum class State {
+    friend class Endpoint<Session>;
+
+    enum class Step {
         idle,
         wait_server_hello,   // client: expects SH..SHD flight
         wait_client_hello,   // server
         wait_client_finish,  // server: expects CKE, CCS, Finished
         wait_server_finish,  // client: expects CCS, Finished
-        established,
-        closed,  // close_notify exchanged in both directions
-        failed,
+        done,
     };
 
-    Status fail(std::string message);
-    Status fail(AlertDescription description, std::string message);
-    Status fail_with(SessionError::Origin origin, AlertDescription description,
-                     std::string message, bool emit_alert);
-    void send_alert(const Alert& alert);
-    Status handle_alert(const Alert& alert);
-    void queue_record(const Record& record, bool own_unit);
-    void queue_handshake(const HandshakeMessage& msg, Bytes* flight);
-    void flush_flight(Bytes flight);
-    Status handle_record_view(const RecordView& view);
-    Status handle_record(const Record& record);
+    // Endpoint<Session> handlers.
+    Status open_app_record(const RecordView& view, obs::SpanContext in);
     Status handle_handshake(const HandshakeMessage& msg);
+    Status handle_rekey(const RecordView& view);
+
+    void queue_handshake(const HandshakeMessage& msg, Bytes* flight);
+    void flush_flight(const Bytes& flight);
 
     Status client_handle_server_flight(const HandshakeMessage& msg);
     Status server_handle_client_hello(const HandshakeMessage& msg);
@@ -175,23 +126,11 @@ private:
     void derive_keys();
     void derive_key_block();
     Bytes finished_verify_data(const char* label) const;
-    void send_ccs_and_finished(Bytes* flight);
+    void send_ccs_and_finished();
 
     SessionConfig cfg_;
-    State state_ = State::idle;
-    std::string error_;
-    SessionError failure_;
-    std::optional<Alert> alert_sent_;
-    std::optional<Alert> peer_alert_;
-    bool close_sent_ = false;
-    bool close_notify_emitted_ = false;  // emission-layer dedup (idempotent shutdown)
-    bool peer_close_received_ = false;
-    bool truncated_ = false;
-    uint64_t handshake_deadline_ = 0;  // 0 = not armed
+    Step step_ = Step::idle;
 
-    RecordCodec codec_{/*with_context_id=*/false};
-    HandshakeReader handshake_reader_;
-    std::vector<Bytes> write_units_;
     Bytes app_data_;
     Bytes recv_scratch_;  // reusable decrypt buffer for the app-data fast path
 
@@ -210,35 +149,9 @@ private:
     Bytes session_id_;
     bool resumed_ = false;
 
-    std::unique_ptr<CbcHmacProtector> send_protector_;
-    std::unique_ptr<CbcHmacProtector> recv_protector_;
-    bool ccs_sent_ = false;
-    bool ccs_received_ = false;
-
-    uint64_t handshake_wire_bytes_ = 0;
-    uint64_t app_overhead_bytes_ = 0;
-    uint64_t app_records_sent_ = 0;
-
-    // Telemetry (see session_stats()).
-    uint16_t trace_actor_ = 0;
-    std::string actor_name_;
-    // Latency attribution (cfg_.spans): see mctls::Session for alignment.
-    uint16_t span_actor_ = 0;
-    std::vector<obs::SpanContext> unit_spans_;
-    std::vector<obs::SpanContext> taken_unit_spans_;
-    std::deque<obs::SpanContext> rx_span_queue_;
-    uint64_t app_records_received_ = 0;
+    // The "app" pseudo-context's payload bytes (see session_stats()).
     uint64_t app_bytes_sent_ = 0;
     uint64_t app_bytes_received_ = 0;
-    uint64_t macs_generated_ = 0;
-    uint64_t macs_verified_ = 0;
-    uint64_t mac_failures_ = 0;
-    uint64_t alerts_sent_ = 0;
-    uint64_t alerts_received_ = 0;
-    // Keyed by to_string(AlertDescription); bumped off the hot path (alerts
-    // are rare and terminal), surfaced via session_stats().
-    std::map<std::string, uint64_t> alerts_sent_by_type_;
-    std::map<std::string, uint64_t> alerts_received_by_type_;
 };
 
 }  // namespace mct::tls

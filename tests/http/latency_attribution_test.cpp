@@ -232,6 +232,15 @@ TEST_F(LatencyAttribution, BaselineTlsRecordsAreAlsoAttributed)
                                static_cast<double>(e2e)
                          : 0.0;
         EXPECT_LE(rel, 0.01) << "trace " << id;
+        // The receiving TLS endpoint attributes its own stages too: exactly
+        // one decrypt_verify and one deliver span per record.
+        size_t decrypt_verify = 0, deliver = 0;
+        for (const obs::SpanRecord* s : t.spans) {
+            decrypt_verify += s->stage == obs::Stage::decrypt_verify;
+            deliver += s->stage == obs::Stage::deliver;
+        }
+        EXPECT_EQ(decrypt_verify, 1u) << "trace " << id;
+        EXPECT_EQ(deliver, 1u) << "trace " << id;
     }
     EXPECT_GE(checked, 2u);
 }

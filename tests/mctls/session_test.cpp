@@ -353,6 +353,14 @@ TEST(McTlsHandshake, HandshakeByteAccountingGrowsWithMiddleboxes)
         env.handshake();
         ASSERT_TRUE(env.all_complete());
         bytes_2 = env.client->handshake_wire_bytes();
+        // Alerts are not handshake bytes: the close_notify exchange through
+        // the chain leaves the counters where the handshake left them.
+        uint64_t server_bytes = env.server->handshake_wire_bytes();
+        env.client->close();
+        env.pump();
+        EXPECT_TRUE(env.client->closed() && env.server->closed());
+        EXPECT_EQ(env.client->handshake_wire_bytes(), bytes_2);
+        EXPECT_EQ(env.server->handshake_wire_bytes(), server_bytes);
     }
     EXPECT_GT(bytes_2, bytes_0 + 500);  // bundles + key material per middlebox
 }

@@ -9,6 +9,7 @@
 
 #include "tests/mctls/harness.h"
 #include "tls/alert.h"
+#include "tls/record.h"
 #include "tls/session.h"
 
 namespace mct::mctls {
@@ -213,6 +214,58 @@ TEST(Shutdown, TlsGracefulCloseAndTruncationParity)
     client2.transport_closed();
     EXPECT_TRUE(client2.truncated());
     EXPECT_EQ(client2.failure().origin, tls::SessionError::Origin::truncated);
+}
+
+TEST(FailureModel, DuplicateChangeCipherSpecIsFatalOnBothEndpointKinds)
+{
+    // Each endpoint receives exactly one ChangeCipherSpec per handshake; a
+    // second one (replayed or injected after establishment) is answered with
+    // a fatal unexpected_message by TLS and mcTLS alike.
+    auto expect_rejected = [](auto& endpoint, bool with_context_id) {
+        tls::RecordCodec codec{with_context_id};
+        Bytes ccs = codec.encode({tls::ContentType::change_cipher_spec, 0, Bytes{1}});
+        EXPECT_FALSE(endpoint.feed(ccs).ok());
+        EXPECT_TRUE(endpoint.failed());
+        ASSERT_TRUE(endpoint.alert_sent().has_value());
+        EXPECT_EQ(endpoint.alert_sent()->description,
+                  tls::AlertDescription::unexpected_message);
+    };
+
+    ChainEnv env;
+    env.build(1, {ctx_row(1, "d", 1, Permission::read)});
+    env.handshake();
+    ASSERT_TRUE(env.all_complete());
+    expect_rejected(*env.client, /*with_context_id=*/true);
+    expect_rejected(*env.server, /*with_context_id=*/true);
+
+    tls::SessionConfig scfg;
+    scfg.role = tls::Role::server;
+    scfg.chain = {env.server_id.certificate};
+    scfg.private_key = env.server_id.private_key;
+    scfg.rng = &env.rng;
+    tls::SessionConfig ccfg;
+    ccfg.role = tls::Role::client;
+    ccfg.server_name = "server.example.com";
+    ccfg.trust = &env.store;
+    ccfg.rng = &env.rng;
+    tls::Session client(ccfg);
+    tls::Session server(scfg);
+    client.start();
+    bool progress = true;
+    while (progress) {
+        progress = false;
+        for (auto& u : client.take_write_units()) {
+            progress = true;
+            (void)server.feed(u);
+        }
+        for (auto& u : server.take_write_units()) {
+            progress = true;
+            (void)client.feed(u);
+        }
+    }
+    ASSERT_TRUE(client.handshake_complete() && server.handshake_complete());
+    expect_rejected(client, /*with_context_id=*/false);
+    expect_rejected(server, /*with_context_id=*/false);
 }
 
 }  // namespace

@@ -174,6 +174,15 @@ TEST_F(TlsFixture, HandshakeByteAccounting)
     // counting (sent + received) the totals must agree.
     EXPECT_GT(client.handshake_wire_bytes(), 500u);
     EXPECT_EQ(client.handshake_wire_bytes(), server.handshake_wire_bytes());
+    // Alerts are not handshake bytes: the close_notify exchange leaves both
+    // counters where the handshake left them.
+    uint64_t bytes = client.handshake_wire_bytes();
+    client.close();
+    for (auto& unit : client.take_write_units()) ASSERT_TRUE(server.feed(unit).ok());
+    for (auto& unit : server.take_write_units()) ASSERT_TRUE(client.feed(unit).ok());
+    EXPECT_TRUE(client.closed() && server.closed());
+    EXPECT_EQ(client.handshake_wire_bytes(), bytes);
+    EXPECT_EQ(server.handshake_wire_bytes(), bytes);
 }
 
 TEST_F(TlsFixture, AppOverheadAccounting)
