@@ -1,8 +1,8 @@
 #include "crypto/ed25519.h"
 
+#include <array>
 #include <stdexcept>
 
-#include "crypto/bigint.h"
 #include "crypto/fe25519.h"
 #include "crypto/sha2.h"
 
@@ -10,12 +10,72 @@ namespace mct::crypto {
 
 namespace {
 
-// Group order L = 2^252 + 27742317777372353535851937790883648493.
-const BigUint& order_l()
+// A scalar mod the group order L, 32 little-endian bytes.
+using Scalar = std::array<uint8_t, 32>;
+
+// L = 2^252 + 27742317777372353535851937790883648493, little-endian bytes.
+constexpr std::array<int64_t, 32> kL = {
+    0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9, 0xde, 0x14,
+    0,    0,    0,    0,    0,    0,    0,    0,    0,    0,    0,    0,    0,    0,    0,    0x10};
+
+// x mod L for x = sum x[i] * 2^(8i), where the 64 limbs are signed and may
+// exceed 8 bits (TweetNaCl's modL). Each limb from 2^256 up is folded down
+// with 2^256 = -16 * (L - 2^252) mod L; then (x[31] >> 4) * L clears the
+// bits from 2^252 up, and the last carry folds back in as a multiple of L.
+// Fixed trip counts and arithmetic carries only: no branch on, or index by,
+// the value.
+Scalar mod_l(std::array<int64_t, 64>& x)
 {
-    static const BigUint L =
-        BigUint::from_hex("1000000000000000000000000000000014def9dea2f79cd65812631a5cf5d3ed");
-    return L;
+    for (int i = 63; i >= 32; --i) {
+        int64_t carry = 0;
+        int j = i - 32;
+        for (; j < i - 12; ++j) {
+            x[j] += carry - 16 * x[i] * kL[j - (i - 32)];
+            carry = (x[j] + 128) >> 8;
+            x[j] -= carry * 256;
+        }
+        x[j] += carry;
+        x[i] = 0;
+    }
+    int64_t carry = 0;
+    for (int j = 0; j < 32; ++j) {
+        x[j] += carry - (x[31] >> 4) * kL[j];
+        carry = x[j] >> 8;
+        x[j] &= 255;
+    }
+    for (int j = 0; j < 32; ++j) x[j] -= carry * kL[j];
+    Scalar out;
+    for (int i = 0; i < 32; ++i) {
+        x[i + 1] += x[i] >> 8;
+        out[i] = static_cast<uint8_t>(x[i] & 255);
+    }
+    return out;
+}
+
+// 64-byte little-endian value (a SHA-512 digest) mod L.
+Scalar sc_reduce(ConstBytes wide_le)
+{
+    std::array<int64_t, 64> x{};
+    for (int i = 0; i < 64; ++i) x[i] = wide_le[i];
+    return mod_l(x);
+}
+
+// (k * a + r) mod L for 32-byte little-endian k, a, r.
+Scalar sc_muladd(ConstBytes k, ConstBytes a, ConstBytes r)
+{
+    std::array<int64_t, 64> x{};
+    for (int i = 0; i < 32; ++i) x[i] = r[i];
+    for (int i = 0; i < 32; ++i)
+        for (int j = 0; j < 32; ++j) x[i + j] += int64_t{k[i]} * a[j];
+    return mod_l(x);
+}
+
+// s < L, by the borrow out of s - L.
+bool sc_is_canonical(ConstBytes s)
+{
+    int64_t borrow = 0;
+    for (int i = 0; i < 32; ++i) borrow = (s[i] - kL[i] - borrow) >> 8 & 1;
+    return borrow == 1;
 }
 
 // Twisted Edwards curve -x^2 + y^2 = 1 + d x^2 y^2.
@@ -100,6 +160,10 @@ bool point_decode(ConstBytes b32, Point& out)
     if (b32.size() != 32) return false;
     bool sign = b32[31] & 0x80;
     Fe y = fe_from_bytes(b32);  // fe_from_bytes ignores the top bit
+    // RFC 8032 §5.1.3: y >= p is not a valid encoding.
+    Bytes canonical = fe_to_bytes(y);
+    if (sign) canonical[31] |= 0x80;
+    if (!equal(canonical, b32)) return false;
     // x^2 = (y^2 - 1) / (d y^2 + 1)
     Fe yy = fe_sq(y);
     Fe num = fe_sub(yy, fe_one());
@@ -124,11 +188,6 @@ const Point& base_point()
         return b;
     }();
     return B;
-}
-
-Bytes reduce_mod_l(ConstBytes wide_le)
-{
-    return BigUint::from_le_bytes(wide_le).mod(order_l()).to_le_bytes(32);
 }
 
 struct ExpandedSeed {
@@ -170,16 +229,13 @@ Bytes ed25519_sign(ConstBytes seed, ConstBytes message)
     auto exp = expand_seed(seed);
     Bytes a_pub = point_encode(point_mul(exp.scalar, base_point()));
 
-    Bytes r_wide = Sha512::digest(concat(exp.prefix, message));
-    Bytes r = reduce_mod_l(r_wide);
+    Scalar r = sc_reduce(Sha512::digest(concat(exp.prefix, message)));
     Bytes r_enc = point_encode(point_mul(r, base_point()));
 
-    Bytes k_wide = Sha512::digest(concat(r_enc, a_pub, message));
-    BigUint k = BigUint::from_le_bytes(reduce_mod_l(k_wide));
-    BigUint s = BigUint::from_le_bytes(r).addmod(
-        k.mulmod(BigUint::from_le_bytes(exp.scalar), order_l()), order_l());
+    Scalar k = sc_reduce(Sha512::digest(concat(r_enc, a_pub, message)));
+    Scalar s = sc_muladd(k, exp.scalar, r);
 
-    return concat(r_enc, s.to_le_bytes(32));
+    return concat(r_enc, s);
 }
 
 bool ed25519_verify(ConstBytes public_key, ConstBytes message, ConstBytes signature)
@@ -189,16 +245,14 @@ bool ed25519_verify(ConstBytes public_key, ConstBytes message, ConstBytes signat
     if (!point_decode(public_key, a)) return false;
     ConstBytes r_enc = signature.subspan(0, 32);
     ConstBytes s_le = signature.subspan(32, 32);
-    BigUint s = BigUint::from_le_bytes(s_le);
-    if (!(s < order_l())) return false;  // reject malleable signatures
+    if (!sc_is_canonical(s_le)) return false;  // reject malleable signatures
     Point r;
     if (!point_decode(r_enc, r)) return false;
 
-    Bytes k_wide = Sha512::digest(concat(to_bytes(r_enc), to_bytes(public_key), to_bytes(message)));
-    Bytes k = reduce_mod_l(k_wide);
+    Scalar k = sc_reduce(Sha512::digest(concat(r_enc, public_key, message)));
 
     // Check s*B == R + k*A.
-    Point sb = point_mul(s.to_le_bytes(32), base_point());
+    Point sb = point_mul(s_le, base_point());
     Point rka = point_add(r, point_mul(k, a));
     return point_encode(sb) == point_encode(rka);
 }

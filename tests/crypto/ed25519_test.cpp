@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/sha2.h"
 #include "util/rng.h"
 
 namespace mct::crypto {
@@ -30,7 +31,42 @@ TEST(Ed25519, Rfc8032Test2)
     EXPECT_EQ(to_hex(pub), "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c");
     Bytes msg{0x72};
     Bytes sig = ed25519_sign(seed, msg);
+    EXPECT_EQ(to_hex(sig),
+              "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da"
+              "085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00");
     EXPECT_TRUE(ed25519_verify(pub, msg, sig));
+}
+
+// RFC 8032 §7.1 TEST 3 (two-byte message 0xaf82).
+TEST(Ed25519, Rfc8032Test3)
+{
+    Bytes seed = from_hex("c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7");
+    Bytes pub = ed25519_public_from_seed(seed);
+    EXPECT_EQ(to_hex(pub), "fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025");
+    Bytes msg = from_hex("af82");
+    Bytes sig = ed25519_sign(seed, msg);
+    EXPECT_EQ(to_hex(sig),
+              "6291d657deec24024827e69c3abe01a30ce548a284743a445e3680d7db5ac3ac"
+              "18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a");
+    EXPECT_TRUE(ed25519_verify(pub, msg, sig));
+}
+
+// Pins the scalar arithmetic (reduction mod L, k*a + r) by value over 256
+// seeded keys and messages of every length 0..255: the digest of all the
+// signatures must not move when that code is rewritten.
+TEST(Ed25519, SeededSignaturesAreStable)
+{
+    TestRng rng(8032);
+    Bytes all;
+    for (size_t i = 0; i < 256; ++i) {
+        Bytes seed = rng.bytes(32);
+        Bytes msg = rng.bytes(i);
+        Bytes sig = ed25519_sign(seed, msg);
+        ASSERT_TRUE(ed25519_verify(ed25519_public_from_seed(seed), msg, sig)) << i;
+        append(all, sig);
+    }
+    EXPECT_EQ(to_hex(Sha256::digest(all)),
+              "3f42677e1b9da542030dd4d5827f4a4fce684a4243301b57cdddce255ff37862");
 }
 
 TEST(Ed25519, SignVerifyRoundTrip)
@@ -115,6 +151,27 @@ TEST(Ed25519, HighSRejected)
     unsigned sum = bad[63] + 0x10 + carry;  // + 2^252 in the top byte
     bad[63] = static_cast<uint8_t>(sum);
     EXPECT_FALSE(ed25519_verify(kp.public_key, msg, bad));
+}
+
+TEST(Ed25519, RejectsNonCanonicalPointEncoding)
+{
+    // y = p + 1 encodes the identity non-canonically (RFC 8032 §5.1.3
+    // requires y < p). With R = B and s = 1, s*B == R + k*A holds for any
+    // message if the key decodes, so it must not.
+    Bytes pk(32, 0xff);
+    pk[0] = 0xee;
+    pk[31] = 0x7f;
+    Bytes sig = from_hex("5866666666666666666666666666666666666666666666666666666666666666");
+    Bytes s(32, 0);
+    s[0] = 1;
+    append(sig, s);
+    EXPECT_FALSE(ed25519_verify(pk, str_to_bytes("any message"), sig));
+    EXPECT_FALSE(ed25519_verify(pk, {}, sig));
+
+    // The canonical identity encoding (y = 1) is still accepted.
+    Bytes identity(32, 0);
+    identity[0] = 1;
+    EXPECT_TRUE(ed25519_verify(identity, str_to_bytes("any message"), sig));
 }
 
 }  // namespace

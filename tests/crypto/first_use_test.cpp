@@ -1,5 +1,5 @@
-// First-use cost regression for the AES tables (its own binary so "first
-// use in the process" is well defined).
+// First-use cost regression for the AES tables and the SHA-2 constants (its
+// own binary so "first use in the process" is well defined).
 //
 // The S-box used to be derived by a brute-force 256x256 GF(2^8) scan inside
 // a function-local static, so the first Aes128 constructed in a process —
@@ -26,65 +26,63 @@ uint64_t ns(Clock::time_point a, Clock::time_point b)
         std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
 }
 
-TEST(FirstUse, AesTablesCostNothingToInitialize)
+// Times the first call of `op` in the process against the median of 200
+// more (which must all return the same bytes). A lazy derivation cost
+// milliseconds; constexpr state leaves only cold caches and clock
+// granularity on the first call, so 100us (or 100x the steady median,
+// whichever is larger) is orders of magnitude below the old cost and far
+// above legitimate jitter.
+template <typename Op>
+void expect_first_call_at_steady_cost(Op op)
 {
-    // Nothing crypto-related has run yet in this process (this binary links
-    // only this test file). Time the very first construct+encrypt.
-    Bytes key(16, 0x42);
-    uint8_t block[16] = {0}, out[16];
     auto t0 = Clock::now();
-    {
-        Aes128 first(key);
-        first.encrypt_block(block, out);
-    }
+    Bytes first = op();
     auto t1 = Clock::now();
     uint64_t first_ns = ns(t0, t1);
 
-    // Steady state: median of many construct+encrypt iterations.
     std::vector<uint64_t> samples;
     for (int i = 0; i < 200; ++i) {
         auto a = Clock::now();
-        Aes128 cipher(key);
-        cipher.encrypt_block(block, out);
+        Bytes again = op();
         auto b = Clock::now();
+        ASSERT_EQ(again, first);
         samples.push_back(ns(a, b));
     }
     std::sort(samples.begin(), samples.end());
     uint64_t median_ns = samples[samples.size() / 2];
 
-    // The old lazy scan cost milliseconds. Constexpr tables leave only cold
-    // caches and clock granularity on the first call; 100us (or 100x the
-    // steady median, whichever is larger) is orders of magnitude below the
-    // old cost and far above legitimate jitter.
     uint64_t budget = std::max<uint64_t>(100'000, 100 * median_ns);
     EXPECT_LT(first_ns, budget)
         << "first=" << first_ns << "ns median=" << median_ns << "ns";
 }
 
+TEST(FirstUse, AesTablesCostNothingToInitialize)
+{
+    // Nothing crypto-related has run yet in this process (this binary links
+    // only this test file). Time the very first construct+encrypt.
+    Bytes key(16, 0x42);
+    expect_first_call_at_steady_cost([&] {
+        uint8_t block[16] = {0}, out[16];
+        Aes128 cipher(key);
+        cipher.encrypt_block(block, out);
+        return Bytes(out, out + 16);
+    });
+}
+
 TEST(FirstUse, Sha256ConstantsCostNothingToInitialize)
 {
     // Same property for the SHA-256 round constants (constexpr integer
-    // roots, no BigUint derivation at runtime).
+    // roots, nothing derived at runtime).
     Bytes data(64, 0x5a);
-    auto t0 = Clock::now();
-    Bytes first = Sha256::digest(data);
-    auto t1 = Clock::now();
-    uint64_t first_ns = ns(t0, t1);
+    expect_first_call_at_steady_cost([&] { return Sha256::digest(data); });
+}
 
-    std::vector<uint64_t> samples;
-    for (int i = 0; i < 200; ++i) {
-        auto a = Clock::now();
-        Bytes d = Sha256::digest(data);
-        auto b = Clock::now();
-        ASSERT_EQ(d, first);
-        samples.push_back(ns(a, b));
-    }
-    std::sort(samples.begin(), samples.end());
-    uint64_t median_ns = samples[samples.size() / 2];
-
-    uint64_t budget = std::max<uint64_t>(100'000, 100 * median_ns);
-    EXPECT_LT(first_ns, budget)
-        << "first=" << first_ns << "ns median=" << median_ns << "ns";
+TEST(FirstUse, Sha512ConstantsCostNothingToInitialize)
+{
+    // Every Ed25519 signature hashes with SHA-512, so a lazily derived
+    // constant would land inside the first handshake of the process.
+    Bytes data(128, 0x5a);
+    expect_first_call_at_steady_cost([&] { return Sha512::digest(data); });
 }
 
 }  // namespace
