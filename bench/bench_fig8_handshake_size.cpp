@@ -5,6 +5,7 @@
 // ~1.6 kB for (Split)TLS; grows with contexts (key material) and
 // middleboxes (certificates + bundles + key material).
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,20 @@
 using namespace mct;
 using namespace mct::bench;
 
+namespace {
+
+// A failed handshake has no size to publish: stop the bench instead.
+uint64_t completed(std::optional<uint64_t> bytes, const std::string& what)
+{
+    if (!bytes) {
+        std::fprintf(stderr, "fig8: %s handshake failed\n", what.c_str());
+        std::exit(1);
+    }
+    return *bytes;
+}
+
+}  // namespace
+
 int main()
 {
     BenchPki pki;
@@ -23,7 +38,7 @@ int main()
     std::printf("=== Figure 8: handshake size at the client (bytes) ===\n\n");
     std::printf("%-22s %-10s %-12s\n", "configuration", "mcTLS", "(Split/E2E)TLS");
 
-    uint64_t tls_bytes = tls_handshake_bytes(pki, rng);
+    uint64_t tls_bytes = completed(tls_handshake_bytes(pki, rng), "TLS");
     struct Config {
         size_t contexts;
         size_t mboxes;
@@ -31,9 +46,10 @@ int main()
     std::vector<Config> configs = {{1, 0}, {4, 0}, {8, 0}, {4, 1}, {4, 2}};
     if (smoke_mode()) configs = {{1, 0}, {4, 1}};
     for (Config cfg : configs) {
-        uint64_t mctls_bytes = mctls_handshake_bytes(pki, {cfg.mboxes, cfg.contexts}, rng);
         char label[64];
         std::snprintf(label, sizeof(label), "ctxts:%zu mbox:%zu", cfg.contexts, cfg.mboxes);
+        uint64_t mctls_bytes =
+            completed(mctls_handshake_bytes(pki, {cfg.mboxes, cfg.contexts}, rng), label);
         // The TLS client-side handshake size does not depend on contexts or
         // (for E2E) on middleboxes; SplitTLS adds per-hop handshakes beyond
         // the client's link, which the client does not see.
@@ -53,14 +69,16 @@ int main()
     std::printf("\nScaling detail, mcTLS handshake bytes:\n");
     std::printf("  contexts (1 middlebox): ");
     for (size_t k : context_sweep) {
-        uint64_t bytes = mctls_handshake_bytes(pki, {1, k}, rng);
+        uint64_t bytes =
+            completed(mctls_handshake_bytes(pki, {1, k}, rng), "K=" + std::to_string(k));
         report.point("mcTLS-context-sweep", "K=" + std::to_string(k),
                      static_cast<double>(bytes));
         std::printf("K=%zu:%lu  ", k, static_cast<unsigned long>(bytes));
     }
     std::printf("\n  middleboxes (4 contexts): ");
     for (size_t n : mbox_sweep) {
-        uint64_t bytes = mctls_handshake_bytes(pki, {n, 4}, rng);
+        uint64_t bytes =
+            completed(mctls_handshake_bytes(pki, {n, 4}, rng), "N=" + std::to_string(n));
         report.point("mcTLS-mbox-sweep", "N=" + std::to_string(n),
                      static_cast<double>(bytes));
         std::printf("N=%zu:%lu  ", n, static_cast<unsigned long>(bytes));

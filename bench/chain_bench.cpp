@@ -1,5 +1,8 @@
 #include "chain_bench.h"
 
+#include "mctls/relay.h"
+#include "tls/relay.h"
+
 namespace mct::bench {
 
 namespace {
@@ -18,114 +21,90 @@ std::vector<mctls::ContextDescription> make_contexts(size_t n_contexts, size_t n
     return contexts;
 }
 
-// Drive one mcTLS handshake across the chain, charging each party's CPU to
-// its bucket. Shared by the full and resumed entry points.
-bool pump_mctls_chain(mctls::Session& client, mctls::Session& server,
-                      std::vector<std::unique_ptr<mctls::MiddleboxSession>>& mboxes,
-                      Stopwatch& watch, double* client_bucket, double* server_bucket,
-                      double* mbox_bucket)
+// Adds the relay's per-party busy time to `seconds` (middleboxes summed).
+void charge(const tls::RelayReport& report, PartySeconds* seconds)
 {
-    watch.run(client_bucket, [&] { client.start(); });
-
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        // Client -> chain -> server.
-        for (auto& unit : client.take_write_units()) {
-            progress = true;
-            if (mboxes.empty()) {
-                watch.run(server_bucket, [&] { (void)server.feed(unit); });
-            } else {
-                watch.run(mbox_bucket, [&] { (void)mboxes[0]->feed_from_client(unit); });
-            }
-        }
-        for (size_t i = 0; i < mboxes.size(); ++i) {
-            for (auto& unit : mboxes[i]->take_to_server()) {
-                progress = true;
-                if (i + 1 < mboxes.size()) {
-                    watch.run(mbox_bucket,
-                              [&] { (void)mboxes[i + 1]->feed_from_client(unit); });
-                } else {
-                    watch.run(server_bucket, [&] { (void)server.feed(unit); });
-                }
-            }
-        }
-        for (auto& unit : server.take_write_units()) {
-            progress = true;
-            if (mboxes.empty()) {
-                watch.run(client_bucket, [&] { (void)client.feed(unit); });
-            } else {
-                watch.run(mbox_bucket,
-                          [&] { (void)mboxes.back()->feed_from_server(unit); });
-            }
-        }
-        for (size_t i = mboxes.size(); i-- > 0;) {
-            for (auto& unit : mboxes[i]->take_to_client()) {
-                progress = true;
-                if (i > 0) {
-                    watch.run(mbox_bucket,
-                              [&] { (void)mboxes[i - 1]->feed_from_server(unit); });
-                } else {
-                    watch.run(client_bucket, [&] { (void)client.feed(unit); });
-                }
-            }
-        }
-    }
-
-    bool ok = client.handshake_complete() && server.handshake_complete();
-    for (auto& mbox : mboxes) ok = ok && mbox->handshake_complete();
-    return ok;
+    if (!seconds) return;
+    seconds->client += static_cast<double>(report.client_ns) * 1e-9;
+    seconds->server += static_cast<double>(report.server_ns) * 1e-9;
+    for (uint64_t ns : report.middlebox_ns) seconds->middlebox += static_cast<double>(ns) * 1e-9;
 }
 
-}  // namespace
+// The configs of every mcTLS entry point's chain: client, cfg.n_middleboxes
+// middleboxes, server. Entry points adjust them before building the Chain.
+struct ChainConfigs {
+    mctls::SessionConfig client;
+    mctls::SessionConfig server;
+    std::vector<mctls::MiddleboxConfig> mboxes;
+};
 
-bool run_mctls_handshake(BenchPki& pki, const ChainConfig& cfg, Rng& rng,
-                         PartySeconds* seconds, PartyOps* ops)
+ChainConfigs chain_configs(BenchPki& pki, const ChainConfig& cfg, Rng& rng)
 {
-    mctls::SessionConfig ccfg;
-    ccfg.role = tls::Role::client;
-    ccfg.server_name = "server.example.com";
-    ccfg.contexts = make_contexts(cfg.n_contexts, cfg.n_middleboxes);
+    ChainConfigs c;
+    c.client.role = tls::Role::client;
+    c.client.server_name = "server.example.com";
+    c.client.contexts = make_contexts(cfg.n_contexts, cfg.n_middleboxes);
     for (size_t i = 0; i < cfg.n_middleboxes; ++i)
-        ccfg.middleboxes.push_back(
+        c.client.middleboxes.push_back(
             {pki.mbox_ids[i].certificate.subject, "mbox" + std::to_string(i)});
-    ccfg.trust = &pki.store;
-    ccfg.rng = &rng;
-    if (ops) ccfg.ops = &ops->client;
+    c.client.trust = &pki.store;
+    c.client.rng = &rng;
 
-    mctls::SessionConfig scfg;
-    scfg.role = tls::Role::server;
-    scfg.chain = {pki.server_id.certificate};
-    scfg.private_key = pki.server_id.private_key;
-    scfg.trust = &pki.store;
-    scfg.client_key_distribution = cfg.client_key_distribution;
-    // Paper §3.1: servers typically skip middlebox authentication to save
-    // CPU; Table 3 and Figure 5 assume that default.
-    scfg.authenticate_middleboxes = false;
-    scfg.rng = &rng;
-    if (ops) scfg.ops = &ops->server;
+    c.server.role = tls::Role::server;
+    c.server.chain = {pki.server_id.certificate};
+    c.server.private_key = pki.server_id.private_key;
+    c.server.trust = &pki.store;
+    c.server.client_key_distribution = cfg.client_key_distribution;
+    c.server.rng = &rng;
 
-    mctls::Session client(std::move(ccfg));
-    mctls::Session server(std::move(scfg));
-    std::vector<std::unique_ptr<mctls::MiddleboxSession>> mboxes;
     for (size_t i = 0; i < cfg.n_middleboxes; ++i) {
         mctls::MiddleboxConfig mcfg;
         mcfg.name = pki.mbox_ids[i].certificate.subject;
         mcfg.chain = {pki.mbox_ids[i].certificate};
         mcfg.private_key = pki.mbox_ids[i].private_key;
         mcfg.rng = &rng;
-        if (ops && i == 0) mcfg.ops = &ops->middlebox;
-        mboxes.push_back(std::make_unique<mctls::MiddleboxSession>(std::move(mcfg)));
+        c.mboxes.push_back(std::move(mcfg));
+    }
+    return c;
+}
+
+struct Chain {
+    mctls::Session client;
+    mctls::Session server;
+    std::vector<std::unique_ptr<mctls::MiddleboxSession>> mboxes;
+
+    explicit Chain(ChainConfigs c) : client(std::move(c.client)), server(std::move(c.server))
+    {
+        for (auto& mcfg : c.mboxes)
+            mboxes.push_back(std::make_unique<mctls::MiddleboxSession>(std::move(mcfg)));
     }
 
-    Stopwatch watch;
-    double sink = 0;
-    double* client_bucket = seconds ? &seconds->client : &sink;
-    double* server_bucket = seconds ? &seconds->server : &sink;
-    double* mbox_bucket = seconds ? &seconds->middlebox : &sink;
+    // One handshake across the chain; true when every party completed it.
+    bool handshake(PartySeconds* seconds)
+    {
+        tls::RelayReport report = mctls::handshake(client, mboxes, server);
+        charge(report, seconds);
+        bool ok = report.ok() && client.handshake_complete() && server.handshake_complete();
+        for (auto& mbox : mboxes) ok = ok && mbox->handshake_complete();
+        return ok;
+    }
+};
 
-    return pump_mctls_chain(client, server, mboxes, watch, client_bucket,
-                            server_bucket, mbox_bucket);
+}  // namespace
+
+bool run_mctls_handshake(BenchPki& pki, const ChainConfig& cfg, Rng& rng,
+                         PartySeconds* seconds, PartyOps* ops)
+{
+    ChainConfigs c = chain_configs(pki, cfg, rng);
+    // Paper §3.1: servers typically skip middlebox authentication to save
+    // CPU; Table 3 and Figure 5 assume that default.
+    c.server.authenticate_middleboxes = false;
+    if (ops) {
+        c.client.ops = &ops->client;
+        c.server.ops = &ops->server;
+        if (!c.mboxes.empty()) c.mboxes[0].ops = &ops->middlebox;
+    }
+    return Chain(std::move(c)).handshake(seconds);
 }
 
 bool run_mctls_resumed_handshake(BenchPki& pki, const ChainConfig& cfg, Rng& rng,
@@ -135,54 +114,26 @@ bool run_mctls_resumed_handshake(BenchPki& pki, const ChainConfig& cfg, Rng& rng
         state.mbox_caches.resize(cfg.n_middleboxes);
     bool warm = state.mctls_ticket.valid();
 
-    mctls::SessionConfig ccfg;
-    ccfg.role = tls::Role::client;
-    ccfg.server_name = "server.example.com";
-    ccfg.contexts = make_contexts(cfg.n_contexts, cfg.n_middleboxes);
-    for (size_t i = 0; i < cfg.n_middleboxes; ++i)
-        ccfg.middleboxes.push_back(
-            {pki.mbox_ids[i].certificate.subject, "mbox" + std::to_string(i)});
-    ccfg.trust = &pki.store;
-    ccfg.rng = &rng;
-    if (warm) ccfg.ticket = &state.mctls_ticket;
+    ChainConfigs c = chain_configs(pki, cfg, rng);
+    if (warm) c.client.ticket = &state.mctls_ticket;
+    c.server.authenticate_middleboxes = false;
+    c.server.session_cache = &state.mctls_cache;
+    for (size_t i = 0; i < c.mboxes.size(); ++i) c.mboxes[i].session_cache = &state.mbox_caches[i];
 
-    mctls::SessionConfig scfg;
-    scfg.role = tls::Role::server;
-    scfg.chain = {pki.server_id.certificate};
-    scfg.private_key = pki.server_id.private_key;
-    scfg.trust = &pki.store;
-    scfg.client_key_distribution = cfg.client_key_distribution;
-    scfg.authenticate_middleboxes = false;
-    scfg.rng = &rng;
-    scfg.session_cache = &state.mctls_cache;
-
-    mctls::Session client(std::move(ccfg));
-    mctls::Session server(std::move(scfg));
-    std::vector<std::unique_ptr<mctls::MiddleboxSession>> mboxes;
-    for (size_t i = 0; i < cfg.n_middleboxes; ++i) {
-        mctls::MiddleboxConfig mcfg;
-        mcfg.name = pki.mbox_ids[i].certificate.subject;
-        mcfg.chain = {pki.mbox_ids[i].certificate};
-        mcfg.private_key = pki.mbox_ids[i].private_key;
-        mcfg.rng = &rng;
-        mcfg.session_cache = &state.mbox_caches[i];
-        mboxes.push_back(std::make_unique<mctls::MiddleboxSession>(std::move(mcfg)));
-    }
-
-    Stopwatch watch;
-    double sink = 0;
-    double* client_bucket = seconds ? &seconds->client : &sink;
-    double* server_bucket = seconds ? &seconds->server : &sink;
-    double* mbox_bucket = seconds ? &seconds->middlebox : &sink;
-
-    if (!pump_mctls_chain(client, server, mboxes, watch, client_bucket,
-                          server_bucket, mbox_bucket))
-        return false;
+    Chain chain(std::move(c));
+    if (!chain.handshake(seconds)) return false;
     // A warm state must actually take the abbreviated path; silently timing
     // full handshakes would corrupt the resumed series.
-    if (warm && !client.resumed()) return false;
-    state.mctls_ticket = client.ticket();
+    if (warm && !chain.client.resumed()) return false;
+    state.mctls_ticket = chain.client.ticket();
     return true;
+}
+
+std::optional<uint64_t> mctls_handshake_bytes(BenchPki& pki, const ChainConfig& cfg, Rng& rng)
+{
+    Chain chain(chain_configs(pki, cfg, rng));
+    if (!chain.handshake(nullptr)) return std::nullopt;
+    return chain.client.handshake_wire_bytes();
 }
 
 namespace {
@@ -210,25 +161,14 @@ tls::SessionConfig tls_server_config(const pki::Identity& id, Rng& rng,
     return cfg;
 }
 
-// Drive one TLS handshake between two sessions, charging each side's CPU to
-// its bucket.
-bool pump_tls_pair(tls::Session& client, tls::Session& server, Stopwatch& watch,
-                   double* client_bucket, double* server_bucket)
+// One TLS handshake; adds each side's busy time to its seconds, if given.
+bool tls_handshake(tls::Session& client, tls::Session& server, double* client_seconds,
+                   double* server_seconds)
 {
-    watch.run(client_bucket, [&] { client.start(); });
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto& unit : client.take_write_units()) {
-            progress = true;
-            watch.run(server_bucket, [&] { (void)server.feed(unit); });
-        }
-        for (auto& unit : server.take_write_units()) {
-            progress = true;
-            watch.run(client_bucket, [&] { (void)client.feed(unit); });
-        }
-    }
-    return client.handshake_complete() && server.handshake_complete();
+    tls::RelayReport report = tls::handshake(client, server);
+    if (client_seconds) *client_seconds += static_cast<double>(report.client_ns) * 1e-9;
+    if (server_seconds) *server_seconds += static_cast<double>(report.server_ns) * 1e-9;
+    return report.ok() && client.handshake_complete() && server.handshake_complete();
 }
 
 }  // namespace
@@ -236,12 +176,6 @@ bool pump_tls_pair(tls::Session& client, tls::Session& server, Stopwatch& watch,
 bool run_split_tls_handshake(BenchPki& pki, const ChainConfig& cfg, Rng& rng,
                              PartySeconds* seconds, PartyOps* ops)
 {
-    Stopwatch watch;
-    double sink = 0;
-    double* client_bucket = seconds ? &seconds->client : &sink;
-    double* server_bucket = seconds ? &seconds->server : &sink;
-    double* mbox_bucket = seconds ? &seconds->middlebox : &sink;
-
     // Hop 0: client <-> mbox0 (or server when no middleboxes).
     // Hops i: mbox(i-1) client-role <-> mbox(i) server-role / server.
     bool ok = true;
@@ -255,14 +189,18 @@ bool run_split_tls_handshake(BenchPki& pki, const ChainConfig& cfg, Rng& rng,
             left_ops = left_is_client ? &ops->client : (hop == 1 ? &ops->middlebox : nullptr);
             right_ops = right_is_server ? &ops->server : (hop == 0 ? &ops->middlebox : nullptr);
         }
-        double* left_bucket = left_is_client ? client_bucket : mbox_bucket;
-        double* right_bucket = right_is_server ? server_bucket : mbox_bucket;
+        double* left_seconds = nullptr;
+        double* right_seconds = nullptr;
+        if (seconds) {
+            left_seconds = left_is_client ? &seconds->client : &seconds->middlebox;
+            right_seconds = right_is_server ? &seconds->server : &seconds->middlebox;
+        }
 
         const pki::Identity& right_id =
             right_is_server ? pki.server_id : pki.impersonation_ids[hop];
         tls::Session left(tls_client_config(pki, rng, left_ops));
         tls::Session right(tls_server_config(right_id, rng, right_ops));
-        ok = ok && pump_tls_pair(left, right, watch, left_bucket, right_bucket);
+        ok = ok && tls_handshake(left, right, left_seconds, right_seconds);
     }
     return ok;
 }
@@ -270,24 +208,16 @@ bool run_split_tls_handshake(BenchPki& pki, const ChainConfig& cfg, Rng& rng,
 bool run_e2e_tls_handshake(BenchPki& pki, const ChainConfig&, Rng& rng,
                            PartySeconds* seconds, PartyOps* ops)
 {
-    Stopwatch watch;
-    double sink = 0;
-    double* client_bucket = seconds ? &seconds->client : &sink;
-    double* server_bucket = seconds ? &seconds->server : &sink;
     // Middleboxes only copy bytes; their cost is ~0 and charged nowhere.
     tls::Session client(tls_client_config(pki, rng, ops ? &ops->client : nullptr));
     tls::Session server(tls_server_config(pki.server_id, rng, ops ? &ops->server : nullptr));
-    return pump_tls_pair(client, server, watch, client_bucket, server_bucket);
+    return tls_handshake(client, server, seconds ? &seconds->client : nullptr,
+                         seconds ? &seconds->server : nullptr);
 }
 
 bool run_tls_resumed_handshake(BenchPki& pki, Rng& rng, ResumeState& state,
                                PartySeconds* seconds)
 {
-    Stopwatch watch;
-    double sink = 0;
-    double* client_bucket = seconds ? &seconds->client : &sink;
-    double* server_bucket = seconds ? &seconds->server : &sink;
-
     bool warm = state.tls_ticket.valid();
     tls::SessionConfig ccfg = tls_client_config(pki, rng, nullptr);
     if (warm) ccfg.ticket = &state.tls_ticket;
@@ -296,101 +226,19 @@ bool run_tls_resumed_handshake(BenchPki& pki, Rng& rng, ResumeState& state,
 
     tls::Session client(std::move(ccfg));
     tls::Session server(std::move(scfg));
-    if (!pump_tls_pair(client, server, watch, client_bucket, server_bucket))
+    if (!tls_handshake(client, server, seconds ? &seconds->client : nullptr,
+                       seconds ? &seconds->server : nullptr))
         return false;
     if (warm && !client.resumed()) return false;
     state.tls_ticket = client.ticket();
     return true;
 }
 
-uint64_t mctls_handshake_bytes(BenchPki& pki, const ChainConfig& cfg, Rng& rng)
-{
-    mctls::SessionConfig ccfg;
-    ccfg.role = tls::Role::client;
-    ccfg.server_name = "server.example.com";
-    ccfg.contexts = make_contexts(cfg.n_contexts, cfg.n_middleboxes);
-    for (size_t i = 0; i < cfg.n_middleboxes; ++i)
-        ccfg.middleboxes.push_back(
-            {pki.mbox_ids[i].certificate.subject, "mbox" + std::to_string(i)});
-    ccfg.trust = &pki.store;
-    ccfg.rng = &rng;
-
-    mctls::SessionConfig scfg;
-    scfg.role = tls::Role::server;
-    scfg.chain = {pki.server_id.certificate};
-    scfg.private_key = pki.server_id.private_key;
-    scfg.trust = &pki.store;
-    scfg.rng = &rng;
-
-    mctls::Session client(std::move(ccfg));
-    mctls::Session server(std::move(scfg));
-    std::vector<std::unique_ptr<mctls::MiddleboxSession>> mboxes;
-    for (size_t i = 0; i < cfg.n_middleboxes; ++i) {
-        mctls::MiddleboxConfig mcfg;
-        mcfg.name = pki.mbox_ids[i].certificate.subject;
-        mcfg.chain = {pki.mbox_ids[i].certificate};
-        mcfg.private_key = pki.mbox_ids[i].private_key;
-        mcfg.rng = &rng;
-        mboxes.push_back(std::make_unique<mctls::MiddleboxSession>(std::move(mcfg)));
-    }
-
-    client.start();
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto& unit : client.take_write_units()) {
-            progress = true;
-            if (mboxes.empty())
-                (void)server.feed(unit);
-            else
-                (void)mboxes[0]->feed_from_client(unit);
-        }
-        for (size_t i = 0; i < mboxes.size(); ++i) {
-            for (auto& unit : mboxes[i]->take_to_server()) {
-                progress = true;
-                if (i + 1 < mboxes.size())
-                    (void)mboxes[i + 1]->feed_from_client(unit);
-                else
-                    (void)server.feed(unit);
-            }
-        }
-        for (auto& unit : server.take_write_units()) {
-            progress = true;
-            if (mboxes.empty())
-                (void)client.feed(unit);
-            else
-                (void)mboxes.back()->feed_from_server(unit);
-        }
-        for (size_t i = mboxes.size(); i-- > 0;) {
-            for (auto& unit : mboxes[i]->take_to_client()) {
-                progress = true;
-                if (i > 0)
-                    (void)mboxes[i - 1]->feed_from_server(unit);
-                else
-                    (void)client.feed(unit);
-            }
-        }
-    }
-    return client.handshake_wire_bytes();
-}
-
-uint64_t tls_handshake_bytes(BenchPki& pki, Rng& rng)
+std::optional<uint64_t> tls_handshake_bytes(BenchPki& pki, Rng& rng)
 {
     tls::Session client(tls_client_config(pki, rng, nullptr));
     tls::Session server(tls_server_config(pki.server_id, rng, nullptr));
-    client.start();
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto& unit : client.take_write_units()) {
-            progress = true;
-            (void)server.feed(unit);
-        }
-        for (auto& unit : server.take_write_units()) {
-            progress = true;
-            (void)client.feed(unit);
-        }
-    }
+    if (!tls_handshake(client, server, nullptr, nullptr)) return std::nullopt;
     return client.handshake_wire_bytes();
 }
 

@@ -2,14 +2,14 @@
 // (client, N middleboxes, server) with per-party CPU timing — the setup
 // behind Table 3 (operation counts) and Figure 5 (connections per second).
 //
-// No simulated network here: parties exchange byte buffers directly, so the
-// measured time is pure protocol/crypto cost, as in the paper's
-// connections-per-second experiments.
+// No simulated network here: the in-memory relay (mctls/relay.h,
+// tls/relay.h) hands byte buffers from party to party and measures each
+// party's busy time, so the measured time is pure protocol/crypto cost, as
+// in the paper's connections-per-second experiments.
 #pragma once
 
-#include <chrono>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,18 +52,6 @@ struct BenchPki {
             mbox_ids.push_back(ca.issue("mbox" + std::to_string(i) + ".isp.net", rng));
             impersonation_ids.push_back(ca.issue("server.example.com", rng));
         }
-    }
-};
-
-class Stopwatch {
-public:
-    template <typename F>
-    void run(double* bucket, F&& f)
-    {
-        auto start = std::chrono::steady_clock::now();
-        f();
-        std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
-        *bucket += elapsed.count();
     }
 };
 
@@ -112,8 +100,8 @@ bool run_tls_resumed_handshake(BenchPki& pki, Rng& rng, ResumeState& state,
                                PartySeconds* seconds);
 
 // Handshake wire bytes seen at the client for one mcTLS / TLS handshake
-// (Figure 8).
-uint64_t mctls_handshake_bytes(BenchPki& pki, const ChainConfig& cfg, Rng& rng);
-uint64_t tls_handshake_bytes(BenchPki& pki, Rng& rng);
+// (Figure 8); nullopt when the handshake did not complete.
+std::optional<uint64_t> mctls_handshake_bytes(BenchPki& pki, const ChainConfig& cfg, Rng& rng);
+std::optional<uint64_t> tls_handshake_bytes(BenchPki& pki, Rng& rng);
 
 }  // namespace mct::bench

@@ -13,36 +13,13 @@
 
 #include "crypto/drbg.h"
 #include "mctls/middlebox.h"
+#include "mctls/relay.h"
 #include "mctls/session.h"
 #include "pki/authority.h"
 
 using namespace mct;
 
 namespace {
-
-void pump(mctls::Session& client, mctls::MiddleboxSession& mbox, mctls::Session& server)
-{
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto& unit : client.take_write_units()) {
-            progress = true;
-            (void)mbox.feed_from_client(unit);
-        }
-        for (auto& unit : mbox.take_to_server()) {
-            progress = true;
-            (void)server.feed(unit);
-        }
-        for (auto& unit : server.take_write_units()) {
-            progress = true;
-            (void)mbox.feed_from_server(unit);
-        }
-        for (auto& unit : mbox.take_to_client()) {
-            progress = true;
-            (void)client.feed(unit);
-        }
-    }
-}
 
 constexpr uint8_t kCompressible = 1;  // proxy: write
 constexpr uint8_t kPrivate = 2;       // proxy: none
@@ -90,8 +67,7 @@ int main()
     mctls::Session server(scfg);
     mctls::MiddleboxSession proxy(mcfg);
 
-    client.start();
-    pump(client, proxy, server);
+    mctls::handshake(client, proxy, server);
     if (!client.handshake_complete() || !server.handshake_complete()) {
         std::printf("handshake failed\n");
         return 1;
@@ -100,7 +76,7 @@ int main()
     std::printf("On cellular: images ride the proxy-writable context.\n");
     (void)server.send_app_data(kCompressible, str_to_bytes("IMG_0001.raw"));
     (void)server.send_app_data(kCompressible, str_to_bytes("IMG_0002.raw"));
-    pump(client, proxy, server);
+    mctls::relay(client, proxy, server);
     for (auto& chunk : client.take_app_data())
         std::printf("  ctx %u%s: \"%s\"\n", chunk.context_id,
                     chunk.from_endpoint ? "" : " (compressed in-network)",
@@ -110,7 +86,7 @@ int main()
                 "Same session, no new handshake:\n");
     (void)server.send_app_data(kPrivate, str_to_bytes("IMG_0003.raw"));
     (void)server.send_app_data(kPrivate, str_to_bytes("IMG_0004.raw"));
-    pump(client, proxy, server);
+    mctls::relay(client, proxy, server);
     for (auto& chunk : client.take_app_data())
         std::printf("  ctx %u%s: \"%s\"\n", chunk.context_id,
                     chunk.from_endpoint ? "" : " (compressed in-network)",

@@ -1,6 +1,7 @@
 // mctls_perf: the analogue of the paper's modified `openssl s_time` (§5.4
 // "Deployment") — a small CLI that measures full mcTLS handshakes per
-// second for a given middlebox/context configuration.
+// second for a given middlebox/context configuration. Each handshake is the
+// bench harness's Table 3 / Figure 5 chain (bench/chain_bench.h).
 //
 //   mctls_perf [middleboxes] [contexts] [seconds] [--ckd]
 #include <chrono>
@@ -8,108 +9,9 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "crypto/drbg.h"
-#include "mctls/middlebox.h"
-#include "mctls/session.h"
-#include "pki/authority.h"
+#include "chain_bench.h"
 
 using namespace mct;
-
-namespace {
-
-struct Setup {
-    crypto::HmacDrbg rng{str_to_bytes("perf-seed")};
-    pki::Authority ca{"Perf CA", rng};
-    pki::TrustStore trust;
-    pki::Identity server_id = ca.issue("server.example.com", rng);
-    std::vector<pki::Identity> mbox_ids;
-
-    explicit Setup(size_t n_mbox)
-    {
-        trust.add_root(ca.root_certificate());
-        for (size_t i = 0; i < n_mbox; ++i)
-            mbox_ids.push_back(ca.issue("mbox" + std::to_string(i), rng));
-    }
-};
-
-bool one_handshake(Setup& setup, size_t n_mbox, size_t n_ctx, bool ckd)
-{
-    mctls::SessionConfig ccfg;
-    ccfg.role = tls::Role::client;
-    ccfg.server_name = "server.example.com";
-    for (size_t i = 0; i < n_mbox; ++i)
-        ccfg.middleboxes.push_back({setup.mbox_ids[i].certificate.subject, "addr"});
-    for (size_t c = 0; c < n_ctx; ++c) {
-        mctls::ContextDescription ctx;
-        ctx.id = static_cast<uint8_t>(c + 1);
-        ctx.purpose = "ctx";
-        ctx.permissions.assign(n_mbox, mctls::Permission::write);
-        ccfg.contexts.push_back(std::move(ctx));
-    }
-    ccfg.trust = &setup.trust;
-    ccfg.rng = &setup.rng;
-
-    mctls::SessionConfig scfg;
-    scfg.role = tls::Role::server;
-    scfg.chain = {setup.server_id.certificate};
-    scfg.private_key = setup.server_id.private_key;
-    scfg.client_key_distribution = ckd;
-    scfg.authenticate_middleboxes = false;
-    scfg.rng = &setup.rng;
-
-    mctls::Session client(ccfg);
-    mctls::Session server(scfg);
-    std::vector<std::unique_ptr<mctls::MiddleboxSession>> mboxes;
-    for (size_t i = 0; i < n_mbox; ++i) {
-        mctls::MiddleboxConfig mcfg;
-        mcfg.name = setup.mbox_ids[i].certificate.subject;
-        mcfg.chain = {setup.mbox_ids[i].certificate};
-        mcfg.private_key = setup.mbox_ids[i].private_key;
-        mcfg.rng = &setup.rng;
-        mboxes.push_back(std::make_unique<mctls::MiddleboxSession>(std::move(mcfg)));
-    }
-
-    client.start();
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto& unit : client.take_write_units()) {
-            progress = true;
-            if (mboxes.empty())
-                (void)server.feed(unit);
-            else
-                (void)mboxes[0]->feed_from_client(unit);
-        }
-        for (size_t i = 0; i < mboxes.size(); ++i) {
-            for (auto& unit : mboxes[i]->take_to_server()) {
-                progress = true;
-                if (i + 1 < mboxes.size())
-                    (void)mboxes[i + 1]->feed_from_client(unit);
-                else
-                    (void)server.feed(unit);
-            }
-        }
-        for (auto& unit : server.take_write_units()) {
-            progress = true;
-            if (mboxes.empty())
-                (void)client.feed(unit);
-            else
-                (void)mboxes.back()->feed_from_server(unit);
-        }
-        for (size_t i = mboxes.size(); i-- > 0;) {
-            for (auto& unit : mboxes[i]->take_to_client()) {
-                progress = true;
-                if (i > 0)
-                    (void)mboxes[i - 1]->feed_from_server(unit);
-                else
-                    (void)client.feed(unit);
-            }
-        }
-    }
-    return client.handshake_complete() && server.handshake_complete();
-}
-
-}  // namespace
 
 int main(int argc, char** argv)
 {
@@ -124,7 +26,8 @@ int main(int argc, char** argv)
         return 2;
     }
 
-    Setup setup(n_mbox);
+    bench::BenchPki pki(n_mbox);
+    bench::ChainConfig cfg{n_mbox, n_ctx, ckd};
     std::printf("mctls_perf: %zu middlebox(es), %zu context(s)%s, %.1f s budget\n",
                 n_mbox, n_ctx, ckd ? ", client key distribution" : "", seconds);
 
@@ -132,7 +35,7 @@ int main(int argc, char** argv)
     size_t count = 0;
     while (std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count() <
            seconds) {
-        if (!one_handshake(setup, n_mbox, n_ctx, ckd)) {
+        if (!bench::run_mctls_handshake(pki, cfg, pki.rng, nullptr, nullptr)) {
             std::fprintf(stderr, "handshake failed\n");
             return 1;
         }

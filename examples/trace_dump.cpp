@@ -28,6 +28,7 @@
 
 #include "crypto/drbg.h"
 #include "mctls/middlebox.h"
+#include "mctls/relay.h"
 #include "mctls/session.h"
 #include "obs/json.h"
 #include "obs/perfetto.h"
@@ -146,31 +147,8 @@ int dump_file(const char* path, const std::string& session_filter, int ctx_filte
 }
 
 // Mode 2: generate a demo trace from an in-memory session (same chain as
-// examples/quickstart, with a tracer attached to all three parties).
-void pump(mctls::Session& client, mctls::MiddleboxSession& mbox, mctls::Session& server)
-{
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto& unit : client.take_write_units()) {
-            progress = true;
-            (void)mbox.feed_from_client(unit);
-        }
-        for (auto& unit : mbox.take_to_server()) {
-            progress = true;
-            (void)server.feed(unit);
-        }
-        for (auto& unit : server.take_write_units()) {
-            progress = true;
-            (void)mbox.feed_from_server(unit);
-        }
-        for (auto& unit : mbox.take_to_client()) {
-            progress = true;
-            (void)client.feed(unit);
-        }
-    }
-}
-
+// examples/quickstart, with a tracer attached to all three parties). The
+// relay carries each unit's span context, so --perfetto shows every hop.
 int run_demo(const char* perfetto_path)
 {
     crypto::HmacDrbg rng(str_to_bytes("trace-dump-seed"));
@@ -238,8 +216,7 @@ int run_demo(const char* perfetto_path)
     mctls::Session server(server_cfg);
     mctls::MiddleboxSession mbox(mbox_cfg);
 
-    client.start();
-    pump(client, mbox, server);
+    mctls::handshake(client, mbox, server);
     if (!client.handshake_complete() || !server.handshake_complete()) {
         std::fprintf(stderr, "trace_dump: demo handshake failed: %s / %s\n",
                      client.error().c_str(), server.error().c_str());
@@ -247,10 +224,10 @@ int run_demo(const char* perfetto_path)
     }
     (void)client.send_app_data(1, str_to_bytes("GET /article HTTP/1.1"));
     (void)client.send_app_data(2, str_to_bytes("please summarize"));
-    pump(client, mbox, server);
+    mctls::relay(client, mbox, server);
     (void)server.take_app_data();
     (void)server.send_app_data(2, str_to_bytes("the article, summarized"));
-    pump(client, mbox, server);
+    mctls::relay(client, mbox, server);
     (void)client.take_app_data();
     tracer.flush();
 

@@ -685,7 +685,6 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
         probe_.mac_failure(ctx, view.payload.size());
         return fail(AlertDescription::bad_record_mac, opened.error().message);
     }
-    ++probe_.count.macs_verified;  // writer MAC
     // The transform needs an owned copy; the scratch keeps the original for
     // the modified-or-not comparison (no second copy).
     Bytes payload = to_bytes(opened.value().payload);
@@ -695,15 +694,15 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
     if (cfg_.transform) payload = cfg_.transform(ctx, dir, std::move(payload));
     if (traced) probe_.hop(in, obs::Stage::decrypt_verify, ctx, stage_ns.total_ns(), stage_ns.macs);
     if (equal(payload, opened.value().payload)) {
-        // Unmodified: forward the original record, MACs untouched.
-        probe_.emit(obs::EventType::mbox_write_pass, ctx, payload.size(), 1);
+        // Unmodified: forward the original record, MACs untouched. Writer
+        // MAC verified.
+        probe_.opened(obs::EventType::mbox_write_pass, ctx, payload.size(), 1);
         forward_original();
         return {};
     }
     ++records_rewritten_;
-    ++probe_.count.records_received;
-    probe_.count.macs_generated += 2;  // regenerated writer + reader MACs
-    probe_.emit(obs::EventType::mbox_rewrite, ctx, payload.size(), 2);
+    // Writer MAC verified; writer + reader MACs regenerated.
+    probe_.opened(obs::EventType::mbox_rewrite, ctx, payload.size(), 1, 0, 2);
     // Reseal straight into the outgoing wire unit: header first, fragment
     // appended in place (endpoint MAC still borrowed from the scratch).
     size_t body = sealed_record_size(payload.size());
@@ -723,8 +722,9 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
 
 obs::SessionStats MiddleboxSession::session_stats() const
 {
-    // A middlebox seals nothing of its own; records_received counts the
-    // records it forwarded blind, read, or rewrote.
+    // A middlebox seals nothing of its own; records_received counts every
+    // record it relayed, once each: forwarded blind, read, passed unmodified
+    // under write access, or rewritten.
     obs::SessionStats s = probe_.stats();
     s.established = keys_ready_;
     if (failure_.failed()) s.failure = failure_.message;

@@ -95,11 +95,15 @@ public:
         count.macs_generated += macs;
         emit(EventType::record_seal, ctx, bytes, macs, span);
     }
-    void opened(EventType type, uint16_t ctx, uint64_t bytes, uint64_t macs, uint64_t span = 0)
+    // A middlebox rewrite also regenerates MACs (`macs_regenerated`); its
+    // event then reports those instead of the verified ones.
+    void opened(EventType type, uint16_t ctx, uint64_t bytes, uint64_t macs, uint64_t span = 0,
+                uint64_t macs_regenerated = 0)
     {
         ++count.records_received;
         count.macs_verified += macs;
-        emit(type, ctx, bytes, macs, span);
+        count.macs_generated += macs_regenerated;
+        emit(type, ctx, bytes, macs_regenerated ? macs_regenerated : macs, span);
     }
     void mac_failure(uint16_t ctx, uint64_t bytes)
     {

@@ -9,6 +9,7 @@
 
 #include "tests/mctls/harness.h"
 #include "tls/alert.h"
+#include "tls/relay.h"
 #include "tls/session.h"
 
 namespace mct::mctls {
@@ -22,26 +23,9 @@ TEST(TlsFallback, McTlsClientAgainstTlsServerFailsCleanly)
     ChainEnv env;
     env.build(0, {ctx_row(1, "d", 0, Permission::none)});
 
-    tls::SessionConfig scfg;
-    scfg.role = tls::Role::server;
-    scfg.chain = {env.server_id.certificate};
-    scfg.private_key = env.server_id.private_key;
-    scfg.rng = &env.rng;
-    tls::Session tls_server(scfg);
+    tls::Session tls_server(env.tls_server_config());
 
-    env.client->start();
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto& unit : env.client->take_write_units()) {
-            progress = true;
-            (void)tls_server.feed(unit);
-        }
-        for (auto& unit : tls_server.take_write_units()) {
-            progress = true;
-            (void)env.client->feed(unit);
-        }
-    }
+    tls::handshake(*env.client, tls_server);
     // The mcTLS record header carries an extra context-id byte, so the TLS
     // server cannot even frame the ClientHello: it rejects the stream with a
     // fatal decode_error alert. The alert codec's tolerant framing lets the
@@ -68,52 +52,17 @@ TEST(TlsFallback, RetryWithTlsSucceeds)
     ChainEnv env;
     env.build(0, {ctx_row(1, "d", 0, Permission::none)});
 
-    tls::SessionConfig scfg;
-    scfg.role = tls::Role::server;
-    scfg.chain = {env.server_id.certificate};
-    scfg.private_key = env.server_id.private_key;
-    scfg.rng = &env.rng;
-
     // Attempt 1: mcTLS (fails, see previous test).
     {
-        tls::Session tls_server(scfg);
-        env.client->start();
-        bool progress = true;
-        while (progress) {
-            progress = false;
-            for (auto& unit : env.client->take_write_units()) {
-                progress = true;
-                (void)tls_server.feed(unit);
-            }
-            for (auto& unit : tls_server.take_write_units()) {
-                progress = true;
-                (void)env.client->feed(unit);
-            }
-        }
+        tls::Session tls_server(env.tls_server_config());
+        tls::handshake(*env.client, tls_server);
         ASSERT_FALSE(env.client->handshake_complete());
     }
 
     // Attempt 2: plain TLS.
-    tls::SessionConfig ccfg;
-    ccfg.role = tls::Role::client;
-    ccfg.server_name = "server.example.com";
-    ccfg.trust = &env.store;
-    ccfg.rng = &env.rng;
-    tls::Session tls_client(ccfg);
-    tls::Session tls_server(scfg);
-    tls_client.start();
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto& unit : tls_client.take_write_units()) {
-            progress = true;
-            (void)tls_server.feed(unit);
-        }
-        for (auto& unit : tls_server.take_write_units()) {
-            progress = true;
-            (void)tls_client.feed(unit);
-        }
-    }
+    tls::Session tls_client(env.tls_client_config());
+    tls::Session tls_server(env.tls_server_config());
+    tls::handshake(tls_client, tls_server);
     EXPECT_TRUE(tls_client.handshake_complete());
     EXPECT_TRUE(tls_server.handshake_complete());
 }
@@ -125,12 +74,7 @@ TEST(TlsFallback, TlsClientAgainstMcTlsServerFailsCleanly)
     ChainEnv env;
     env.build(0, {ctx_row(1, "d", 0, Permission::none)});
 
-    tls::SessionConfig ccfg;
-    ccfg.role = tls::Role::client;
-    ccfg.server_name = "server.example.com";
-    ccfg.trust = &env.store;
-    ccfg.rng = &env.rng;
-    tls::Session tls_client(ccfg);
+    tls::Session tls_client(env.tls_client_config());
 
     // The 5-byte TLS ClientHello misframes under the 6-byte mcTLS header
     // into an incomplete record, so the server waits rather than erroring.

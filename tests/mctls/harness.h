@@ -1,5 +1,5 @@
-// In-memory chain harness: client <-> M0 <-> M1 ... <-> server, pumping
-// write units until quiescent. Shared by the mcTLS session tests.
+// In-memory chain harness: client <-> M0 <-> M1 ... <-> server, relayed
+// until quiescent. Shared by the mcTLS session tests.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -9,8 +9,10 @@
 #include <vector>
 
 #include "mctls/middlebox.h"
+#include "mctls/relay.h"
 #include "mctls/session.h"
 #include "pki/authority.h"
+#include "tls/session.h"
 #include "util/rng.h"
 
 namespace mct::mctls::test {
@@ -63,6 +65,27 @@ struct ChainEnv {
         return cfg;
     }
 
+    // Plain-TLS endpoints over the same PKI (fallback and parity tests).
+    tls::SessionConfig tls_client_config()
+    {
+        tls::SessionConfig cfg;
+        cfg.role = tls::Role::client;
+        cfg.server_name = "server.example.com";
+        cfg.trust = &store;
+        cfg.rng = &rng;
+        return cfg;
+    }
+
+    tls::SessionConfig tls_server_config()
+    {
+        tls::SessionConfig cfg;
+        cfg.role = tls::Role::server;
+        cfg.chain = {server_id.certificate};
+        cfg.private_key = server_id.private_key;
+        cfg.rng = &rng;
+        return cfg;
+    }
+
     MiddleboxConfig mbox_config(size_t i)
     {
         MiddleboxConfig cfg;
@@ -88,59 +111,17 @@ struct ChainEnv {
             mboxes.push_back(std::make_unique<MiddleboxSession>(mbox_config(i)));
     }
 
-    // Deliver pending bytes along the chain until everything is quiet.
-    // Returns false if any party entered a failed state (callers assert on
-    // the specific party they expect to fail).
-    // A correct chain settles in a handful of rounds; hitting the cap means
-    // units are bouncing forever (livelock) and the test should fail loudly
-    // instead of hanging the suite.
-    static constexpr int kMaxPumpRounds = 10000;
-
-    void pump()
+    // Relay pending units along the chain until everything is quiet (see
+    // mctls/relay.h). A chain that never goes quiet is livelocked: the test
+    // fails loudly instead of hanging the suite. Callers assert on the party
+    // they expect to fail.
+    tls::RelayReport pump()
     {
-        bool progress = true;
-        int rounds = 0;
-        while (progress) {
-            if (++rounds > kMaxPumpRounds) {
-                ADD_FAILURE() << "ChainEnv::pump: no quiescence after "
-                              << kMaxPumpRounds << " rounds (livelock)";
-                return;
-            }
-            progress = false;
-            // client -> first hop
-            for (auto& unit : client->take_write_units()) {
-                progress = true;
-                if (mboxes.empty())
-                    (void)server->feed(unit);
-                else
-                    (void)mboxes.front()->feed_from_client(unit);
-            }
-            for (size_t i = 0; i < mboxes.size(); ++i) {
-                for (auto& unit : mboxes[i]->take_to_server()) {
-                    progress = true;
-                    if (i + 1 < mboxes.size())
-                        (void)mboxes[i + 1]->feed_from_client(unit);
-                    else
-                        (void)server->feed(unit);
-                }
-            }
-            for (auto& unit : server->take_write_units()) {
-                progress = true;
-                if (mboxes.empty())
-                    (void)client->feed(unit);
-                else
-                    (void)mboxes.back()->feed_from_server(unit);
-            }
-            for (size_t i = mboxes.size(); i-- > 0;) {
-                for (auto& unit : mboxes[i]->take_to_client()) {
-                    progress = true;
-                    if (i > 0)
-                        (void)mboxes[i - 1]->feed_from_server(unit);
-                    else
-                        (void)client->feed(unit);
-                }
-            }
-        }
+        tls::RelayReport report = relay(*client, mboxes, *server);
+        if (report.livelock)
+            ADD_FAILURE() << "ChainEnv::pump: no quiescence after " << tls::kMaxRelayRounds
+                          << " rounds (livelock)";
+        return report;
     }
 
     void handshake()

@@ -10,6 +10,7 @@
 #include "tests/mctls/harness.h"
 #include "tls/alert.h"
 #include "tls/record.h"
+#include "tls/relay.h"
 #include "tls/session.h"
 
 namespace mct::mctls {
@@ -154,62 +155,23 @@ TEST(Shutdown, TlsGracefulCloseAndTruncationParity)
     // ends in closed(), EOF without it is truncation.
     ChainEnv env;  // borrow the PKI fixtures only
 
-    tls::SessionConfig scfg;
-    scfg.role = tls::Role::server;
-    scfg.chain = {env.server_id.certificate};
-    scfg.private_key = env.server_id.private_key;
-    scfg.rng = &env.rng;
-
-    tls::SessionConfig ccfg;
-    ccfg.role = tls::Role::client;
-    ccfg.server_name = "server.example.com";
-    ccfg.trust = &env.store;
-    ccfg.rng = &env.rng;
-
-    tls::Session client(ccfg);
-    tls::Session server(scfg);
-    auto pump = [&] {
-        bool progress = true;
-        while (progress) {
-            progress = false;
-            for (auto& u : client.take_write_units()) {
-                progress = true;
-                (void)server.feed(u);
-            }
-            for (auto& u : server.take_write_units()) {
-                progress = true;
-                (void)client.feed(u);
-            }
-        }
-    };
-    client.start();
-    pump();
+    tls::Session client(env.tls_client_config());
+    tls::Session server(env.tls_server_config());
+    tls::handshake(client, server);
     ASSERT_TRUE(client.handshake_complete() && server.handshake_complete());
 
     server.close();
     EXPECT_FALSE(server.closed());  // waits for the client's close_notify
-    pump();
+    tls::relay(client, server);
     EXPECT_TRUE(client.closed());
     EXPECT_TRUE(server.closed());
     EXPECT_FALSE(client.failed());
     EXPECT_FALSE(server.failed());
 
     // Truncation on a second pair.
-    tls::Session client2(ccfg);
-    tls::Session server2(scfg);
-    client2.start();
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto& u : client2.take_write_units()) {
-            progress = true;
-            (void)server2.feed(u);
-        }
-        for (auto& u : server2.take_write_units()) {
-            progress = true;
-            (void)client2.feed(u);
-        }
-    }
+    tls::Session client2(env.tls_client_config());
+    tls::Session server2(env.tls_server_config());
+    tls::handshake(client2, server2);
     ASSERT_TRUE(client2.handshake_complete());
     client2.transport_closed();
     EXPECT_TRUE(client2.truncated());
@@ -238,31 +200,9 @@ TEST(FailureModel, DuplicateChangeCipherSpecIsFatalOnBothEndpointKinds)
     expect_rejected(*env.client, /*with_context_id=*/true);
     expect_rejected(*env.server, /*with_context_id=*/true);
 
-    tls::SessionConfig scfg;
-    scfg.role = tls::Role::server;
-    scfg.chain = {env.server_id.certificate};
-    scfg.private_key = env.server_id.private_key;
-    scfg.rng = &env.rng;
-    tls::SessionConfig ccfg;
-    ccfg.role = tls::Role::client;
-    ccfg.server_name = "server.example.com";
-    ccfg.trust = &env.store;
-    ccfg.rng = &env.rng;
-    tls::Session client(ccfg);
-    tls::Session server(scfg);
-    client.start();
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto& u : client.take_write_units()) {
-            progress = true;
-            (void)server.feed(u);
-        }
-        for (auto& u : server.take_write_units()) {
-            progress = true;
-            (void)client.feed(u);
-        }
-    }
+    tls::Session client(env.tls_client_config());
+    tls::Session server(env.tls_server_config());
+    tls::handshake(client, server);
     ASSERT_TRUE(client.handshake_complete() && server.handshake_complete());
     expect_rejected(client, /*with_context_id=*/false);
     expect_rejected(server, /*with_context_id=*/false);

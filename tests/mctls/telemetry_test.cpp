@@ -146,6 +146,49 @@ TEST(Telemetry, FullHandshakeTraceCountersAndMacScheme)
 #endif
 }
 
+// A middlebox counts every record it relays once in app_records_received,
+// whatever its access: forwarded blind, read, passed unmodified under write
+// access, or rewritten. Only the rewrite regenerates MACs.
+TEST(Telemetry, MiddleboxCountsEveryRelayedRecordOnce)
+{
+    ChainEnv env;
+    std::vector<ContextDescription> contexts = {
+        ctx_row(1, "opaque", 1, Permission::none),
+        ctx_row(2, "readable", 1, Permission::read),
+        ctx_row(3, "writable", 1, Permission::write),
+        ctx_row(4, "rewritten", 1, Permission::write),
+    };
+    auto infos = env.make_middleboxes(1);
+    env.client = std::make_unique<Session>(env.client_config(infos, contexts));
+    env.server = std::make_unique<Session>(env.server_config());
+    auto mcfg = env.mbox_config(0);
+    mcfg.transform = [](uint8_t ctx, Direction, Bytes payload) {
+        if (ctx == 4) payload.push_back('!');
+        return payload;
+    };
+    env.mboxes.push_back(std::make_unique<MiddleboxSession>(mcfg));
+    env.handshake();
+    ASSERT_TRUE(env.all_complete());
+
+    constexpr uint64_t kPerContext = 3;
+    for (uint64_t i = 0; i < kPerContext; ++i)
+        for (uint8_t ctx = 1; ctx <= 4; ++ctx)
+            ASSERT_TRUE(env.client->send_app_data(ctx, str_to_bytes("record")).ok());
+    env.pump();
+    EXPECT_EQ(env.server->take_app_data().size(), 4 * kPerContext);
+
+    const MiddleboxSession& mbox = *env.mboxes[0];
+    obs::SessionStats stats = mbox.session_stats();
+    EXPECT_EQ(stats.app_records_received, 4 * kPerContext);
+    EXPECT_EQ(mbox.records_forwarded_blind(), kPerContext);
+    EXPECT_EQ(mbox.records_read(), kPerContext);
+    EXPECT_EQ(mbox.records_rewritten(), kPerContext);
+    // One MAC verified per opened record (read, pass, rewrite); writer and
+    // reader MACs regenerated per rewrite.
+    EXPECT_EQ(stats.macs_verified, 3 * kPerContext);
+    EXPECT_EQ(stats.macs_generated, 2 * kPerContext);
+}
+
 TEST(Telemetry, FaultInjectionTraceIsCausallyOrdered)
 {
     using http::FaultEvent;

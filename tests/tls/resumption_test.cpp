@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "pki/authority.h"
+#include "tls/relay.h"
 #include "tls/session.h"
 #include "util/rng.h"
 
@@ -43,29 +44,12 @@ struct ResumptionFixture : ::testing::Test {
         return cfg;
     }
 
-    static void run_handshake(Session& client, Session& server)
-    {
-        client.start();
-        bool progress = true;
-        while (progress) {
-            progress = false;
-            for (auto& unit : client.take_write_units()) {
-                progress = true;
-                (void)server.feed(unit);
-            }
-            for (auto& unit : server.take_write_units()) {
-                progress = true;
-                (void)client.feed(unit);
-            }
-        }
-    }
-
     // Run one full handshake and walk away with the client's ticket.
     void mint_ticket()
     {
         Session client(client_config());
         Session server(server_config());
-        run_handshake(client, server);
+        handshake(client, server);
         ASSERT_TRUE(client.handshake_complete()) << client.error();
         ASSERT_FALSE(client.resumed());
         ticket = client.ticket();
@@ -82,7 +66,7 @@ TEST_F(ResumptionFixture, AbbreviatedHandshakeResumes)
     // new id, but the flight shapes are identical to the priming handshake).
     Session full_client(client_config());
     Session full_server(server_config());
-    run_handshake(full_client, full_server);
+    handshake(full_client, full_server);
     ASSERT_TRUE(full_client.handshake_complete());
     uint64_t full_bytes = full_client.handshake_wire_bytes();
 
@@ -90,7 +74,7 @@ TEST_F(ResumptionFixture, AbbreviatedHandshakeResumes)
     ccfg.ticket = &ticket;
     Session client(ccfg);
     Session server(server_config());
-    run_handshake(client, server);
+    handshake(client, server);
     ASSERT_TRUE(client.handshake_complete()) << client.error();
     ASSERT_TRUE(server.handshake_complete()) << server.error();
     EXPECT_TRUE(client.resumed());
@@ -115,7 +99,7 @@ TEST_F(ResumptionFixture, CacheMissFallsBackToFullHandshake)
     ccfg.ticket = &ticket;
     Session client(ccfg);
     Session server(server_config());
-    run_handshake(client, server);
+    handshake(client, server);
     ASSERT_TRUE(client.handshake_complete()) << client.error();
     ASSERT_TRUE(server.handshake_complete()) << server.error();
     EXPECT_FALSE(client.resumed());
@@ -133,7 +117,7 @@ TEST_F(ResumptionFixture, CloseAfterPeerFatalAlertEmitsNothing)
 {
     Session client(client_config());
     Session server(server_config());
-    run_handshake(client, server);
+    handshake(client, server);
     ASSERT_TRUE(client.handshake_complete());
 
     // Undecryptable record: the server answers with a fatal bad_record_mac.
@@ -151,7 +135,7 @@ TEST_F(ResumptionFixture, SimultaneousCloseEmitsOneCloseNotifyEach)
 {
     Session client(client_config());
     Session server(server_config());
-    run_handshake(client, server);
+    handshake(client, server);
     ASSERT_TRUE(client.handshake_complete());
 
     // Both sides close before either sees the peer's close_notify.

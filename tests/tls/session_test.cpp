@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "pki/authority.h"
+#include "tls/relay.h"
 #include "util/rng.h"
 
 namespace mct::tls {
@@ -36,22 +37,13 @@ struct TlsFixture : ::testing::Test {
         return cfg;
     }
 
-    // Pump bytes between the two sessions until both go quiet.
+    // Relay the handshake until both sessions go quiet. Every feed must be
+    // ok() or leave its receiver failed().
     static void run_handshake(Session& client, Session& server)
     {
-        client.start();
-        bool progress = true;
-        while (progress) {
-            progress = false;
-            for (auto& unit : client.take_write_units()) {
-                progress = true;
-                ASSERT_TRUE(server.feed(unit).ok() || server.failed());
-            }
-            for (auto& unit : server.take_write_units()) {
-                progress = true;
-                ASSERT_TRUE(client.feed(unit).ok() || client.failed());
-            }
-        }
+        RelayReport report = handshake(client, server);
+        ASSERT_FALSE(report.livelock);
+        ASSERT_EQ(report.bad_feed, "");
     }
 };
 

@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "pki/authority.h"
+#include "tls/relay.h"
 #include "tls/session.h"
 #include "util/rng.h"
 
@@ -17,22 +18,6 @@ struct Env {
     pki::TrustStore store;
 
     Env() { store.add_root(ca.root_certificate()); }
-
-    static void pump(Session& client, Session& server)
-    {
-        bool progress = true;
-        while (progress) {
-            progress = false;
-            for (auto& unit : client.take_write_units()) {
-                progress = true;
-                (void)server.feed(unit);
-            }
-            for (auto& unit : server.take_write_units()) {
-                progress = true;
-                (void)client.feed(unit);
-            }
-        }
-    }
 };
 
 class TlsPayloadSweep : public ::testing::TestWithParam<size_t> {};
@@ -56,17 +41,16 @@ TEST_P(TlsPayloadSweep, EchoRoundTrip)
 
     Session client(ccfg);
     Session server(scfg);
-    client.start();
-    Env::pump(client, server);
+    handshake(client, server);
     ASSERT_TRUE(client.handshake_complete());
 
     Bytes payload = env.rng.bytes(size);
     ASSERT_TRUE(client.send_app_data(payload).ok());
-    Env::pump(client, server);
+    relay(client, server);
     EXPECT_EQ(server.take_app_data(), payload);
 
     ASSERT_TRUE(server.send_app_data(payload).ok());
-    Env::pump(client, server);
+    relay(client, server);
     EXPECT_EQ(client.take_app_data(), payload);
 }
 
@@ -96,8 +80,7 @@ TEST(TlsChainDepth, IntermediateCaChainValidates)
 
     Session client(ccfg);
     Session server(scfg);
-    client.start();
-    Env::pump(client, server);
+    handshake(client, server);
     EXPECT_TRUE(client.handshake_complete()) << client.error();
     EXPECT_EQ(client.peer_chain().size(), 2u);
 }
@@ -119,8 +102,7 @@ TEST(TlsMessageSequence, ManySmallMessagesPreserveOrder)
 
     Session client(ccfg);
     Session server(scfg);
-    client.start();
-    Env::pump(client, server);
+    handshake(client, server);
 
     Bytes expected;
     for (int i = 0; i < 50; ++i) {
@@ -128,7 +110,7 @@ TEST(TlsMessageSequence, ManySmallMessagesPreserveOrder)
         append(expected, msg);
         ASSERT_TRUE(client.send_app_data(msg).ok());
     }
-    Env::pump(client, server);
+    relay(client, server);
     EXPECT_EQ(server.take_app_data(), expected);
 }
 
