@@ -4,9 +4,11 @@
 //
 // Paper: SplitTLS adds ~0.6% (median) over NoEncrypt; mcTLS triples the MAC
 // cost to ~2.4%. Handshake bytes are reported separately (Figure 8).
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
+#include "bench_json.h"
 #include "http/testbed.h"
 #include "workload/page_model.h"
 
@@ -50,8 +52,10 @@ OverheadSample page_overhead(Mode mode, const workload::PageTrace& page)
 int main()
 {
     workload::CorpusConfig corpus_cfg;
-    corpus_cfg.pages = 25;
+    corpus_cfg.pages = mct::bench::smoke_mode() ? 2 : 25;
     auto corpus = workload::generate_corpus(corpus_cfg);
+    mct::bench::BenchReport report("sec52_data_overhead");
+    std::string x = "pages:" + std::to_string(corpus_cfg.pages);
 
     std::printf("=== Section 5.2: record-protection data overhead "
                 "(web browsing, 1 middlebox) ===\n\n");
@@ -71,6 +75,9 @@ int main()
                     "%zu pages)\n",
                     to_string(mode), median, static_cast<unsigned long>(records),
                     percents.size());
+        report.point(std::string("median-overhead-pct:") + to_string(mode), x, median);
+        report.point(std::string("records:") + to_string(mode), x,
+                     static_cast<double>(records));
     }
     std::printf("\nExpected: mcTLS ~3x the TLS record overhead (three MACs vs one),\n"
                 "both in the low single-digit percent range; NoEncrypt is 0 by\n"
