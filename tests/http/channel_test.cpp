@@ -107,7 +107,6 @@ TEST(McTlsChannel, StreamReassemblesAcrossContexts)
     ASSERT_TRUE(client.send_part(1, str_to_bytes("CC")).ok());
     pump(client, server);
     EXPECT_EQ(bytes_to_str(server.take_received()), "AABBCC");
-    EXPECT_EQ(server.writer_modified_chunks(), 0u);
 }
 
 }  // namespace
