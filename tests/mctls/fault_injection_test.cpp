@@ -293,6 +293,39 @@ TEST(FaultInjection, ExcisePolicySplicesOutDeadMiddlebox)
 #endif
 }
 
+TEST(FaultInjection, RetryBackoffGrowsByTheMultiplierEveryRetry)
+{
+    obs::Hub hub;
+#if defined(MCT_OBS_ENABLED)
+    obs::RingBufferSink ring(1 << 16);
+    hub.tracer.add_sink(&ring);
+#endif
+    TestbedConfig cfg;
+    cfg.n_middleboxes = 1;
+    cfg.recovery = RecoveryPolicy::reconnect;
+    cfg.retry = {/*max_attempts=*/5, /*backoff=*/200_ms, /*multiplier=*/2.0};
+    cfg.obs = &hub;
+    Testbed tb(cfg);
+    // The middlebox is dead for good: every attempt fails at connect.
+    tb.inject_fault({FaultEvent::Kind::kill_middlebox, 0, 0, 0});
+    auto fetch = tb.fetch(2000);
+    tb.run();
+
+    EXPECT_TRUE(fetch->failed);
+    EXPECT_EQ(fetch->attempts, 5u);
+    // Four delays of backoff × multiplier^(retry - 1): 200 + 400 + 800 + 1600.
+    EXPECT_GE(fetch->done - fetch->start, 3000_ms);
+#if defined(MCT_OBS_ENABLED)
+    std::vector<net::SimTime> gaps;
+    net::SimTime failed_at = 0;
+    for (const auto& e : ring.ordered()) {
+        if (e.type == obs::EventType::attempt_failed) failed_at = e.ts;
+        if (e.type == obs::EventType::attempt_start && e.a > 1) gaps.push_back(e.ts - failed_at);
+    }
+    EXPECT_EQ(gaps, (std::vector<net::SimTime>{200_ms, 400_ms, 800_ms, 1600_ms}));
+#endif
+}
+
 TEST(FaultInjection, RetryBackoffJitterAndCapStillRecover)
 {
     Baseline base = measure_baseline(1, kSmall);
