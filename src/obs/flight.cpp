@@ -7,7 +7,7 @@ namespace mct::obs {
 void FlightRing::push(EventType type, uint16_t ctx, uint64_t a, uint64_t b,
                       uint64_t span)
 {
-    FlightEvent& e = slab_[next_ % capacity_];
+    TraceEvent& e = slab_[next_ % capacity_];
     e.seq = owner_->next_seq_++;
     e.ts = owner_->clock_ ? owner_->clock_() : 0;
     e.type = type;
@@ -18,9 +18,9 @@ void FlightRing::push(EventType type, uint16_t ctx, uint64_t a, uint64_t b,
     next_++;
 }
 
-std::vector<FlightEvent> FlightRing::events() const
+std::vector<TraceEvent> FlightRing::events() const
 {
-    std::vector<FlightEvent> out;
+    std::vector<TraceEvent> out;
     uint64_t n = next_ < capacity_ ? next_ : capacity_;
     out.reserve(n);
     for (uint64_t i = next_ - n; i < next_; ++i) out.push_back(slab_[i % capacity_]);

@@ -89,7 +89,7 @@ IncidentBundle build_incident_bundle(const IncidentMeta& meta,
             r.total = snap.total;
             r.dropped = snap.dropped;
             r.events.reserve(snap.events.size());
-            for (const FlightEvent& e : snap.events) {
+            for (const TraceEvent& e : snap.events) {
                 IncidentRing::Event ie;
                 ie.seq = e.seq;
                 ie.ts = e.ts;
