@@ -28,8 +28,8 @@ public:
     const std::string& actor() const { return actor_; }
 
     // One protocol event to the tracer and the flight ring. `span` (the
-    // record's trace id, 0 = none) only reaches the ring: it is how an
-    // incident bundle ties a record event to its latency tree.
+    // record's trace id, 0 = none) is how an incident bundle ties a record
+    // event to its latency tree.
     void emit(EventType type, uint16_t ctx = 0, uint64_t a = 0, uint64_t b = 0,
               uint64_t span = 0)
     {
