@@ -36,14 +36,13 @@ public:
     ~BenchReport() { write(); }
 
     // Record one figure data point. Negative values mean "measurement
-    // failed" and are kept in the points list (so regressions are visible)
-    // but excluded from the histogram aggregate.
+    // failed" and are kept in the points list, so regressions are visible.
+    // Points go only to the points list, at full precision: the integer
+    // histograms hold what a bench records into metrics() explicitly.
     void point(const std::string& series, const std::string& x, double value)
     {
         points_.push_back({series, x, value});
         metrics_.counter("points")->add();
-        if (value >= 0)
-            metrics_.histogram(series)->record(static_cast<uint64_t>(value));
     }
 
     obs::MetricsRegistry& metrics() { return metrics_; }

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -55,6 +56,21 @@ bool validate(const JsonValue& doc, std::string* why)
         !metrics->get("histograms")->is_object()) {
         *why = "missing/invalid \"metrics\" object";
         return false;
+    }
+    // Figure points live in "points" only. A histogram fed from them would
+    // hold the same series truncated to integers: same name, one sample per
+    // point. (A bench's own histogram may share a series name, but records
+    // its own samples.)
+    std::map<std::string, size_t> per_series;
+    for (const JsonValue& p : points->items) ++per_series[p.get("series")->str];
+    for (const auto& [name, hist] : metrics->get("histograms")->fields) {
+        auto it = per_series.find(name);
+        const JsonValue* count = hist.get("count");
+        if (it != per_series.end() && count != nullptr && count->is_number() &&
+            count->num == static_cast<double>(it->second)) {
+            *why = "histogram \"" + name + "\" duplicates the points series";
+            return false;
+        }
     }
     return true;
 }

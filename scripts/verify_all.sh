@@ -3,7 +3,7 @@
 # (the gate every PR must keep green), the bench gate, the soak campaigns,
 # the ASan+UBSan configuration via scripts/verify_sanitize.sh, the
 # forced-scalar crypto build, the MCT_OBS=OFF build, and the whole-chain
-# benchmark's own tests.
+# benchmark's own tests; then an advisory constant-time check.
 # Extra arguments are forwarded to the ctest invocations
 # (e.g. `scripts/verify_all.sh -R StatePlane`).
 #
@@ -14,19 +14,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "=== [1/7] tier-1: release build + ctest ==="
+echo "=== [1/8] tier-1: release build + ctest ==="
 cmake -B build -S .
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)" "$@"
 
-echo "=== [2/7] bench gate: smoke benches vs committed baselines ==="
+echo "=== [2/8] bench gate: smoke benches vs committed baselines ==="
 # ctest runs this too (bench_smoke + bench_gate), but an explicit pass keeps
 # the gate in the loop even when "$@" filters the test set, and prints the
 # comparison where it is easy to see.
 cmake --build build --target bench-smoke
 python3 scripts/bench_compare.py build/bench-smoke-json bench/baselines/smoke
 
-echo "=== [3/7] soak: seeded chaos campaigns (ctest label: soak) ==="
+echo "=== [3/8] soak: seeded chaos campaigns (ctest label: soak) ==="
 # Concurrent-session soaks under the deterministic chaos plane (DESIGN.md
 # "Concurrency model & chaos plane"). A red soak prints MCT_CHAOS_SEED=<n>
 # in every failure; scripts/soak.sh replays that exact schedule. With
@@ -45,10 +45,10 @@ ctest --test-dir build --output-on-failure -L soak
 # explicit pass keeps the gate alive when "$@" filters the suite).
 ctest --test-dir build --output-on-failure -R 'Incident\.'
 
-echo "=== [4/7] sanitizers: ASan+UBSan build + ctest ==="
+echo "=== [4/8] sanitizers: ASan+UBSan build + ctest ==="
 scripts/verify_sanitize.sh "$@"
 
-echo "=== [5/7] forced-scalar: portable-only crypto build + ctest ==="
+echo "=== [5/8] forced-scalar: portable-only crypto build + ctest ==="
 # -DMCT_FORCE_SCALAR=ON compiles the AES-NI/SHA-NI translation units out
 # entirely — the configuration a non-x86 host builds (DESIGN.md "Crypto
 # dispatch"). Running the full suite against it proves the portable scalar
@@ -59,7 +59,7 @@ cmake -B build-scalar -S . -DMCT_FORCE_SCALAR=ON
 cmake --build build-scalar -j "$(nproc)"
 MCT_FORCE_SCALAR=1 ctest --test-dir build-scalar --output-on-failure -j "$(nproc)" "$@"
 
-echo "=== [6/7] obs-off: -DMCT_OBS=OFF build + ctest ==="
+echo "=== [6/8] obs-off: -DMCT_OBS=OFF build + ctest ==="
 # Every protocol event and span goes through obs::SessionProbe (DESIGN.md
 # "Observability"); building with MCT_OBS=OFF proves that emission compiles
 # out in that one place while the always-on session counters keep working.
@@ -68,11 +68,17 @@ cmake -B build-obsoff -S . -DMCT_OBS=OFF
 cmake --build build-obsoff -j "$(nproc)"
 ctest --test-dir build-obsoff --output-on-failure -j "$(nproc)" "$@"
 
-echo "=== [7/7] perfbench: whole-chain benchmark tests ==="
+echo "=== [7/8] perfbench: whole-chain benchmark tests ==="
 # Short runs of every perfbench workload: per-operation correctness checks
 # through the whole client -> middlebox(es) -> server chain, the result-line
 # schema, and the exact per-layer counters repeating for a fixed seed
 # (perfbench/README.md). Builds into .bench_build/.
 python3 perfbench/test_perfbench.py
+
+echo "=== [8/8] constant time (advisory): dudect on sign and X25519 keygen ==="
+# Welch t-test of fixed-secret against random-secret timings (DESIGN.md §16).
+# |t| > 4.5 prints a WARN line; host noise alone can do that, so this tier
+# reports and never fails the ladder.
+build/bench/dudect_ct || echo "dudect_ct: could not run (advisory tier, ignored)"
 
 echo "=== verify_all: OK ==="

@@ -3,7 +3,7 @@
 #include <array>
 #include <stdexcept>
 
-#include "crypto/fe25519.h"
+#include "crypto/ge25519.h"
 #include "crypto/sha2.h"
 
 namespace mct::crypto {
@@ -78,118 +78,6 @@ bool sc_is_canonical(ConstBytes s)
     return borrow == 1;
 }
 
-// Twisted Edwards curve -x^2 + y^2 = 1 + d x^2 y^2.
-const Fe& curve_d()
-{
-    static const Fe d = [] {
-        Fe num = fe_neg(fe_from_u64(121665));
-        Fe den = fe_from_u64(121666);
-        return fe_mul(num, fe_invert(den));
-    }();
-    return d;
-}
-
-const Fe& curve_2d()
-{
-    static const Fe d2 = fe_add(curve_d(), curve_d());
-    return d2;
-}
-
-// Extended homogeneous coordinates: x = X/Z, y = Y/Z, T = XY/Z.
-struct Point {
-    Fe x, y, z, t;
-};
-
-Point identity()
-{
-    return {fe_zero(), fe_one(), fe_one(), fe_zero()};
-}
-
-Point point_add(const Point& p, const Point& q)
-{
-    Fe a = fe_mul(fe_sub(p.y, p.x), fe_sub(q.y, q.x));
-    Fe b = fe_mul(fe_add(p.y, p.x), fe_add(q.y, q.x));
-    Fe c = fe_mul(fe_mul(p.t, curve_2d()), q.t);
-    Fe d = fe_mul(fe_add(p.z, p.z), q.z);
-    Fe e = fe_sub(b, a);
-    Fe f = fe_sub(d, c);
-    Fe g = fe_add(d, c);
-    Fe h = fe_add(b, a);
-    return {fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
-}
-
-Point point_double(const Point& p)
-{
-    Fe xx = fe_sq(p.x);
-    Fe yy = fe_sq(p.y);
-    Fe zz2 = fe_mul_small(fe_sq(p.z), 2);
-    Fe xy2 = fe_sq(fe_add(p.x, p.y));
-    Fe y_num = fe_add(yy, xx);           // -a*x^2 + y^2 with a = -1
-    Fe z_num = fe_sub(yy, xx);
-    Fe x_num = fe_sub(xy2, y_num);       // 2xy
-    Fe t_num = fe_sub(zz2, z_num);
-    return {fe_mul(x_num, t_num), fe_mul(y_num, z_num), fe_mul(z_num, t_num),
-            fe_mul(x_num, y_num)};
-}
-
-// scalar (little-endian bytes) * point, simple MSB-first double-and-add.
-Point point_mul(ConstBytes scalar_le, const Point& p)
-{
-    Point acc = identity();
-    for (size_t byte = scalar_le.size(); byte-- > 0;) {
-        for (int bit = 7; bit >= 0; --bit) {
-            acc = point_double(acc);
-            if ((scalar_le[byte] >> bit) & 1) acc = point_add(acc, p);
-        }
-    }
-    return acc;
-}
-
-Bytes point_encode(const Point& p)
-{
-    Fe zinv = fe_invert(p.z);
-    Fe x = fe_mul(p.x, zinv);
-    Fe y = fe_mul(p.y, zinv);
-    Bytes out = fe_to_bytes(y);
-    if (fe_is_negative(x)) out[31] |= 0x80;
-    return out;
-}
-
-bool point_decode(ConstBytes b32, Point& out)
-{
-    if (b32.size() != 32) return false;
-    bool sign = b32[31] & 0x80;
-    Fe y = fe_from_bytes(b32);  // fe_from_bytes ignores the top bit
-    // RFC 8032 §5.1.3: y >= p is not a valid encoding.
-    Bytes canonical = fe_to_bytes(y);
-    if (sign) canonical[31] |= 0x80;
-    if (!equal(canonical, b32)) return false;
-    // x^2 = (y^2 - 1) / (d y^2 + 1)
-    Fe yy = fe_sq(y);
-    Fe num = fe_sub(yy, fe_one());
-    Fe den = fe_add(fe_mul(curve_d(), yy), fe_one());
-    Fe x2 = fe_mul(num, fe_invert(den));
-    Fe x;
-    if (!fe_sqrt(x2, x)) return false;
-    if (fe_is_zero(x) && sign) return false;  // -0 is invalid
-    if (fe_is_negative(x) != sign) x = fe_neg(x);
-    out = {x, y, fe_one(), fe_mul(x, y)};
-    return true;
-}
-
-const Point& base_point()
-{
-    static const Point B = [] {
-        // By = 4/5; Bx is the even root.
-        Fe y = fe_mul(fe_from_u64(4), fe_invert(fe_from_u64(5)));
-        Bytes enc = fe_to_bytes(y);  // sign bit 0 = even x
-        Point b;
-        if (!point_decode(enc, b)) throw std::logic_error("ed25519: base point decode failed");
-        return b;
-    }();
-    return B;
-}
-
 struct ExpandedSeed {
     Bytes scalar;  // clamped a, little-endian
     Bytes prefix;  // second half of SHA-512(seed)
@@ -213,7 +101,7 @@ ExpandedSeed expand_seed(ConstBytes seed)
 Bytes ed25519_public_from_seed(ConstBytes seed)
 {
     auto exp = expand_seed(seed);
-    return point_encode(point_mul(exp.scalar, base_point()));
+    return ge_encode(ge_base_mul(exp.scalar));
 }
 
 Ed25519KeyPair ed25519_keypair(Rng& rng)
@@ -226,11 +114,12 @@ Ed25519KeyPair ed25519_keypair(Rng& rng)
 
 Bytes ed25519_sign(ConstBytes seed, ConstBytes message)
 {
+    // The public key is rederived from the seed on purpose: a caller-supplied
+    // key that did not match the seed would turn sign into a private-key
+    // oracle (two signatures of one message under two keys share r).
     auto exp = expand_seed(seed);
-    Bytes a_pub = point_encode(point_mul(exp.scalar, base_point()));
-
     Scalar r = sc_reduce(Sha512::digest(concat(exp.prefix, message)));
-    Bytes r_enc = point_encode(point_mul(r, base_point()));
+    auto [a_pub, r_enc] = ge_encode_pair(ge_base_mul(exp.scalar), ge_base_mul(r));
 
     Scalar k = sc_reduce(Sha512::digest(concat(r_enc, a_pub, message)));
     Scalar s = sc_muladd(k, exp.scalar, r);
@@ -241,20 +130,18 @@ Bytes ed25519_sign(ConstBytes seed, ConstBytes message)
 bool ed25519_verify(ConstBytes public_key, ConstBytes message, ConstBytes signature)
 {
     if (public_key.size() != 32 || signature.size() != 64) return false;
-    Point a;
-    if (!point_decode(public_key, a)) return false;
+    GePoint a;
+    if (!ge_decode(public_key, a)) return false;
     ConstBytes r_enc = signature.subspan(0, 32);
     ConstBytes s_le = signature.subspan(32, 32);
     if (!sc_is_canonical(s_le)) return false;  // reject malleable signatures
-    Point r;
-    if (!point_decode(r_enc, r)) return false;
 
     Scalar k = sc_reduce(Sha512::digest(concat(r_enc, public_key, message)));
 
-    // Check s*B == R + k*A.
-    Point sb = point_mul(s_le, base_point());
-    Point rka = point_add(r, point_mul(k, a));
-    return point_encode(sb) == point_encode(rka);
+    // s*B == R + k*A, checked as encode(s*B - k*A) == R's bytes. R is never
+    // decoded: a y >= p, off-curve or "-0" R cannot equal an encoding, so
+    // this accepts exactly the signatures that decoding R would.
+    return equal(ge_encode(ge_double_scalar_mul_vartime(s_le, k, a)), r_enc);
 }
 
 }  // namespace mct::crypto

@@ -6,13 +6,23 @@ namespace mct::crypto {
 
 Bytes prf(ConstBytes secret, std::string_view label, ConstBytes seed, size_t out_len)
 {
-    Bytes label_seed = concat(str_to_bytes(label), seed);
+    // The secret is keyed into HMAC once; every A(i) and output block starts
+    // from a copy of that state instead of rehashing the key's pad blocks,
+    // and label || seed goes in as two pieces instead of a concatenation.
+    const HmacSha256 keyed(secret);
+    auto hmac = [&keyed](auto... parts) {
+        HmacSha256 h = keyed;
+        (h.update(parts), ...);
+        return h.finish_tag();
+    };
+    const ConstBytes label_bytes(reinterpret_cast<const uint8_t*>(label.data()), label.size());
     Bytes out;
     out.reserve(out_len + HmacSha256::kTagSize);
-    Bytes a = label_seed;  // A(0)
-    while (out.size() < out_len) {
-        a = HmacSha256::mac(secret, a);  // A(i)
-        append(out, HmacSha256::mac(secret, concat(a, label_seed)));
+    auto a = hmac(label_bytes, seed);  // A(1)
+    while (true) {
+        append(out, hmac(ConstBytes(a), label_bytes, seed));
+        if (out.size() >= out_len) break;
+        a = hmac(ConstBytes(a));  // A(i+1)
     }
     out.resize(out_len);
     return out;

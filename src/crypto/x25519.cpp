@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "crypto/fe25519.h"
+#include "crypto/ge25519.h"
 
 namespace mct::crypto {
 
@@ -58,9 +59,11 @@ X25519KeyPair x25519_keypair(Rng& rng)
 {
     X25519KeyPair kp;
     kp.private_key = clamp(rng.bytes(32));
-    Bytes base(32, 0);
-    base[0] = 9;
-    kp.public_key = x25519(kp.private_key, base);
+    // k * 9 on the Montgomery curve is the image of k * B on the Edwards
+    // curve under the birational map u = (1 + y) / (1 - y) = (Z + Y) / (Z - Y),
+    // so the fixed-base comb replaces the 255-step ladder.
+    GePoint p = ge_base_mul(kp.private_key);
+    kp.public_key = fe_to_bytes(fe_mul(fe_add(p.z, p.y), fe_invert(fe_sub(p.z, p.y))));
     return kp;
 }
 

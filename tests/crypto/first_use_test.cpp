@@ -1,5 +1,6 @@
-// First-use cost regression for the AES tables and the SHA-2 constants (its
-// own binary so "first use in the process" is well defined).
+// First-use cost regression for the AES tables, the SHA-2 constants and the
+// Curve25519 constants and fixed-base table (its own binary so "first use in
+// the process" is well defined).
 //
 // The S-box used to be derived by a brute-force 256x256 GF(2^8) scan inside
 // a function-local static, so the first Aes128 constructed in a process —
@@ -13,7 +14,10 @@
 #include <vector>
 
 #include "crypto/aes.h"
+#include "crypto/ed25519.h"
 #include "crypto/sha2.h"
+#include "crypto/x25519.h"
+#include "util/rng.h"
 
 namespace mct::crypto {
 namespace {
@@ -83,6 +87,24 @@ TEST(FirstUse, Sha512ConstantsCostNothingToInitialize)
     // constant would land inside the first handshake of the process.
     Bytes data(128, 0x5a);
     expect_first_call_at_steady_cost([&] { return Sha512::digest(data); });
+}
+
+TEST(FirstUse, Ed25519SignCostsNothingToInitialize)
+{
+    // The curve constants and the 32 x 8 comb table are compile-time data; a
+    // lazily built table would cost hundreds of point additions here.
+    Bytes seed(32, 0x11);
+    Bytes msg(64, 0x5a);
+    expect_first_call_at_steady_cost([&] { return ed25519_sign(seed, msg); });
+}
+
+TEST(FirstUse, X25519KeypairCostsNothingToInitialize)
+{
+    // Key generation goes through the same comb table.
+    expect_first_call_at_steady_cost([] {
+        TestRng rng(7);
+        return x25519_keypair(rng).public_key;
+    });
 }
 
 }  // namespace

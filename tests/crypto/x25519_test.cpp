@@ -22,6 +22,18 @@ TEST(X25519, Rfc7748Iteration1)
               "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079");
 }
 
+// RFC 7748 §5.2 iterated test, 1,000 iterations: k = x25519(k, u), u = old k.
+TEST(X25519, Rfc7748Iteration1000)
+{
+    Bytes k = base_u(), u = base_u();
+    for (int i = 0; i < 1000; ++i) {
+        Bytes next = x25519(k, u);
+        u = k;
+        k = next;
+    }
+    EXPECT_EQ(to_hex(k), "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51");
+}
+
 TEST(X25519, DiffieHellmanAgreement)
 {
     TestRng rng(31);
